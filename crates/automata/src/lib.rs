@@ -18,11 +18,14 @@
 //!   crate sits above `gdx-nre` in the dependency graph;
 //! * [`Dfa`] — subset construction, completion, complement, product,
 //!   emptiness, shortest accepted word, Moore minimization;
-//! * [`included`] / [`equivalent`] — language inclusion and equivalence.
+//! * [`included`] / [`equivalent`] — language inclusion and equivalence;
+//! * [`PathInclusion`] — the chase's batched form of [`included`]: each
+//!   target compiled once into a DFA, each path decided from memoized
+//!   per-step state images.
 //!
 //! NREs with nesting tests are outside regular-language territory for the
 //! inclusion question; the chase falls back to a syntactic check for them
-//! (DESIGN.md §5 item 3).
+//! (see "Certain matching" in ARCHITECTURE.md).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
@@ -31,11 +34,13 @@ pub mod dfa;
 pub mod eval_nfa;
 pub mod letter;
 pub mod nfa;
+pub mod path_inclusion;
 
 pub use dfa::Dfa;
 pub use eval_nfa::EvalNfa;
 pub use letter::Letter;
 pub use nfa::Nfa;
+pub use path_inclusion::{PathInclusion, StepId, TargetId};
 
 use gdx_common::Result;
 use gdx_nre::Nre;

@@ -1,4 +1,4 @@
-//! B5: ablations over the design choices DESIGN.md calls out:
+//! B5: ablations over four design choices:
 //! (i) oblivious vs restricted s-t chase, (ii) batched vs sequential egd
 //! merging, (iii) DPLL heuristics, (iv) search vs SAT-encoding existence.
 

@@ -1,6 +1,5 @@
 //! Regenerates every figure/example of the paper (E1–E10) and the
-//! empirical complexity tables (T1–T5). The output of this binary is what
-//! EXPERIMENTS.md records.
+//! empirical complexity tables (T1–T5).
 //!
 //! Run with `cargo run -p gdx-bench --release --bin paper_experiments`.
 

@@ -2,9 +2,9 @@
 //!
 //! Shared measurement harness behind (a) the `paper_experiments` binary,
 //! which regenerates every figure/example of the paper plus the scaling
-//! tables T1–T5 recorded in EXPERIMENTS.md, and (b) the Criterion benches.
+//! tables T1–T5, and (b) the Criterion benches.
 //!
-//! Experiment ids follow DESIGN.md §4: `E*` are exact reproductions of
+//! Experiment ids: `E*` are exact reproductions of
 //! paper artifacts, `B*`/`T*` are the empirical complexity experiments.
 
 #![forbid(unsafe_code)]

@@ -16,16 +16,29 @@
 //! both, which is what the budget polices.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Counts every `alloc`/`realloc`; frees are not interesting here.
+/// Counts every `alloc`/`realloc` of the calling thread; frees are not
+/// interesting here. The count is per thread so allocations of tests the
+/// harness runs concurrently on other threads never land in a
+/// measurement.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and drop-free: reading it never allocates, so the
+    // allocator can touch it without recursing.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only while the thread is being torn down; those
+    // allocations are outside every measured window.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -34,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,12 +55,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations performed by `body` (this test binary runs nothing else
-/// concurrently, so the delta is attributable).
+/// Allocations performed by `body` on the calling thread. Every measured
+/// workload here runs on one thread (sequential runtimes only), so the
+/// delta is the workload's whole count.
 fn allocations_during(body: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     body();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 /// The PR-4 data plane allocated this many times on this exact workload

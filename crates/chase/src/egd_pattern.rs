@@ -12,16 +12,19 @@
 //!
 //! A pattern edge carries a whole NRE, so deciding whether a body atom
 //! `(x, s, y)` is matched by a pair of pattern nodes requires *entailment*:
-//! the match must hold in **every** graph of `Rep_Σ(π)`. We use the sound
-//! criterion from DESIGN.md §5: a sequence of pattern edges
-//! `(u, r₁, ·) … (·, r_m, v)` (each traversable forward or, optionally,
-//! backward with the reversed NRE) entails `(u, s, v)` when
-//! `L(r₁·…·r_m) ⊆ L(s)` — decided by automata inclusion on test-free NREs.
-//! Sequences are bounded by `path_bound`. NREs with nesting tests fall back
-//! to single-edge syntactic equality (exact on the paper's SORE(·) egds,
-//! which are test-free anyway).
+//! the match must hold in **every** graph of `Rep_Σ(π)`. We use a sound
+//! criterion: a sequence of pattern edges `(u, r₁, ·) … (·, r_m, v)` (each
+//! traversable forward or, optionally, backward with the reversed NRE)
+//! entails `(u, s, v)` when `L(r₁·…·r_m) ⊆ L(s)`. Sequences are bounded by
+//! `path_bound`. The [`EntailmentIndex`] decides every inclusion of a
+//! chase with one [`PathInclusion`] kernel: each test-free target is
+//! compiled once into a DFA, and a sequence is included when the image of
+//! the DFA's start state through its steps' memoized reach images is all
+//! accepting. NREs with nesting tests fall back to single-edge syntactic
+//! equality (exact on the paper's SORE(·) egds, which are test-free
+//! anyway). ARCHITECTURE.md ("Certain matching") has the full picture.
 
-use gdx_automata::included;
+use gdx_automata::{PathInclusion, StepId, TargetId};
 use gdx_common::{FxHashMap, FxHashSet, GdxError, Result, Symbol, Term, UnionFind};
 use gdx_graph::Node;
 use gdx_mapping::Egd;
@@ -102,8 +105,9 @@ pub fn chase_egds_on_pattern(
 
 /// [`chase_egds_on_pattern`] with an observability sink: spans
 /// `egd.run`, counts rounds and merges (`egd.rounds`, `egd.merges`) and
-/// records per-round merge batches into the `egd.merges_per_round`
-/// histogram. Recording never changes the chase outcome.
+/// the target DFAs compiled (`egd.target_dfas`), and records per-round
+/// merge batches into the `egd.merges_per_round` histogram. Recording
+/// never changes the chase outcome.
 pub fn chase_egds_on_pattern_obs(
     pattern: &GraphPattern,
     egds: &[Egd],
@@ -111,7 +115,9 @@ pub fn chase_egds_on_pattern_obs(
     obs: &Obs,
 ) -> Result<EgdChaseOutcome> {
     let _span = obs.span_fields("egd.run", &[("egds", egds.len() as u64)]);
-    let result = chase_egds_inner(pattern, egds, cfg, obs);
+    let mut index = EntailmentIndex::new(cfg);
+    let result = chase_egds_inner(pattern, egds, cfg, &mut index, obs);
+    obs.add("egd.target_dfas", index.compiled_targets() as u64);
     if let Ok(outcome) = &result {
         let merges = match outcome {
             EgdChaseOutcome::Success { merges, .. } | EgdChaseOutcome::Failed { merges, .. } => {
@@ -127,27 +133,27 @@ fn chase_egds_inner(
     pattern: &GraphPattern,
     egds: &[Egd],
     cfg: EgdChaseConfig,
+    index: &mut EntailmentIndex,
     obs: &Obs,
 ) -> Result<EgdChaseOutcome> {
     let mut pattern = pattern.clone();
     let mut merges = 0usize;
-    let mut incl_cache: FxHashMap<(Vec<Nre>, Nre), bool> = FxHashMap::default();
 
     for _round in 0..cfg.max_rounds {
         obs.incr("egd.rounds");
         let merges_at_round_start = merges;
         // The step relations and entailment relations depend only on the
         // pattern (which is stable within a round), not on the egd under
-        // consideration: build them once per round and share them across
-        // every egd — and across duplicate NREs within one egd body.
-        let mut index = EntailmentIndex::build(&pattern, cfg);
+        // consideration: rescan them once per round and share them across
+        // every egd — and across duplicate NREs within one egd body. The
+        // compiled automata persist across rounds.
+        index.refresh(&pattern)?;
         if cfg.batch_merges {
             // Collect every violation in one pass, merge them all at once.
             let mut uf = UnionFind::new(pattern.node_count());
             let mut any = false;
             for egd in egds {
-                let matches =
-                    certain_matches_indexed(&pattern, &egd.body, &mut index, &mut incl_cache)?;
+                let matches = certain_matches_indexed(&pattern, &egd.body, index)?;
                 for m in matches {
                     let (n1, n2) = (m[&egd.lhs], m[&egd.rhs]);
                     let (r1, r2) = (uf.find(n1), uf.find(n2));
@@ -185,8 +191,7 @@ fn chase_egds_inner(
         } else {
             let mut changed = false;
             'egd_loop: for egd in egds {
-                let matches =
-                    certain_matches_indexed(&pattern, &egd.body, &mut index, &mut incl_cache)?;
+                let matches = certain_matches_indexed(&pattern, &egd.body, index)?;
                 for m in matches {
                     let n1 = m[&egd.lhs];
                     let n2 = m[&egd.rhs];
@@ -227,28 +232,70 @@ fn chase_egds_inner(
     Err(GdxError::limit("egd chase exceeded max_rounds"))
 }
 
-/// Per-pattern-version evaluation index for certain matching: the
-/// sequence relations (which depend on the pattern only) plus memoized
-/// per-target entailment relations. Built once per chase round and shared
-/// across every egd of the round; [`certain_matches`] builds a throwaway
-/// one for one-shot callers.
+/// Evaluation index for certain matching, owned by one chase. Per
+/// pattern version ([`EntailmentIndex::refresh`], once per round) it holds
+/// the sequence relations, which depend on the pattern only, and the
+/// memoized per-target entailment relations, shared across every egd of
+/// the round. For the whole chase it holds the compiled step and target
+/// automata: targets are fixed and quotients never add step NREs, so the
+/// kernel's reach images stay valid across rounds. [`certain_matches`]
+/// builds a throwaway one for one-shot callers.
 #[derive(Debug)]
 pub struct EntailmentIndex {
-    /// Every NRE sequence up to the path bound with a non-empty composed
-    /// syntactic relation over the pattern.
-    sequences: Vec<(Vec<Nre>, BinRel)>,
-    /// Entailment relations per target NRE, memoized across egd bodies.
+    cfg: EgdChaseConfig,
+    /// Inclusion kernel over every test-free step and target seen.
+    kernel: PathInclusion,
+    /// Every step NRE seen, with its kernel id (`None` with nesting tests).
+    steps: Vec<(Nre, Option<StepId>)>,
+    step_index: FxHashMap<Nre, u32>,
+    /// Kernel id per target NRE (`None` with nesting tests).
+    targets: FxHashMap<Nre, Option<TargetId>>,
+    /// Every step sequence up to the path bound with a non-empty composed
+    /// syntactic relation over the current pattern.
+    sequences: Vec<Sequence>,
+    /// Entailment relations of the current pattern per target NRE,
+    /// memoized across egd bodies.
     by_target: FxHashMap<Nre, BinRel>,
 }
 
+/// One step sequence of the current pattern.
+#[derive(Debug)]
+struct Sequence {
+    /// Indices into [`EntailmentIndex::steps`].
+    steps: Vec<u32>,
+    /// Kernel ids of the steps, `None` when one has nesting tests.
+    kernel_path: Option<Vec<StepId>>,
+    /// Pairs of pattern nodes the sequence connects.
+    rel: BinRel,
+}
+
 impl EntailmentIndex {
-    /// Scans the pattern once: distinct edge NREs (with optional reversed
-    /// variants) become step relations, then sequences up to
-    /// `cfg.path_bound` are composed. Targets are *not* consulted here —
-    /// the same index serves every egd of a round.
-    pub fn build(pattern: &GraphPattern, cfg: EgdChaseConfig) -> EntailmentIndex {
-        // Each "step kind" is (nre-as-matched, its syntactic relation).
-        let mut step_rels: Vec<(Nre, BinRel)> = Vec::new();
+    /// An empty index; [`EntailmentIndex::refresh`] loads a pattern.
+    pub fn new(cfg: EgdChaseConfig) -> EntailmentIndex {
+        EntailmentIndex {
+            cfg,
+            kernel: PathInclusion::new(),
+            steps: Vec::new(),
+            step_index: FxHashMap::default(),
+            targets: FxHashMap::default(),
+            sequences: Vec::new(),
+            by_target: FxHashMap::default(),
+        }
+    }
+
+    /// Number of target DFAs compiled over the index's lifetime.
+    pub fn compiled_targets(&self) -> usize {
+        self.kernel.target_count()
+    }
+
+    /// Scans `pattern`: distinct edge NREs (with optional reversed
+    /// variants) become step relations, then sequences up to the path
+    /// bound are composed. Entailment relations of the previous pattern
+    /// are dropped; compiled automata are kept. Targets are *not*
+    /// consulted here — the same index serves every egd of a round.
+    pub fn refresh(&mut self, pattern: &GraphPattern) -> Result<()> {
+        // Each "step kind" is (step index, its syntactic relation).
+        let mut step_rels: Vec<(u32, BinRel)> = Vec::new();
         {
             let mut seen: FxHashSet<Nre> = FxHashSet::default();
             for (_, r, _) in pattern.edges() {
@@ -259,19 +306,18 @@ impl EntailmentIndex {
                             fwd.insert(*s, *d);
                         }
                     }
-                    step_rels.push((r.clone(), fwd));
+                    step_rels.push((self.intern_step(r)?, fwd));
                 }
             }
-            if cfg.allow_reversed {
-                let fwd_kinds: Vec<(Nre, BinRel)> = step_rels.clone();
-                for (r, fwd) in fwd_kinds {
-                    let rev_nre = r.reversed();
+            if self.cfg.allow_reversed {
+                for k in 0..step_rels.len() {
+                    let rev_nre = self.steps[step_rels[k].0 as usize].0.reversed();
                     if seen.insert(rev_nre.clone()) {
                         let mut rev = BinRel::new();
-                        for (u, v) in fwd.iter() {
+                        for (u, v) in step_rels[k].1.iter() {
                             rev.insert(v, u);
                         }
-                        step_rels.push((rev_nre, rev));
+                        step_rels.push((self.intern_step(&rev_nre)?, rev));
                     }
                 }
             }
@@ -279,14 +325,14 @@ impl EntailmentIndex {
 
         // Enumerate sequences up to the path bound, composing as we go;
         // empty compositions cannot entail anything and are pruned.
-        let mut sequences: Vec<(Vec<Nre>, BinRel)> = Vec::new();
-        let mut frontier: Vec<(Vec<Nre>, Option<BinRel>)> = vec![(Vec::new(), None)];
-        for _len in 1..=cfg.path_bound {
-            let mut next: Vec<(Vec<Nre>, Option<BinRel>)> = Vec::new();
+        let mut sequences: Vec<Sequence> = Vec::new();
+        let mut frontier: Vec<(Vec<u32>, Option<BinRel>)> = vec![(Vec::new(), None)];
+        for _len in 1..=self.cfg.path_bound {
+            let mut next: Vec<(Vec<u32>, Option<BinRel>)> = Vec::new();
             for (seq, seq_rel) in &frontier {
-                for (step_nre, step_rel) in &step_rels {
+                for (step, step_rel) in &step_rels {
                     let mut seq2 = seq.clone();
-                    seq2.push(step_nre.clone());
+                    seq2.push(*step);
                     let rel2 = match seq_rel {
                         None => step_rel.clone(),
                         Some(r) => r.compose(step_rel),
@@ -294,27 +340,53 @@ impl EntailmentIndex {
                     if rel2.is_empty() {
                         continue;
                     }
-                    sequences.push((seq2.clone(), rel2.clone()));
+                    sequences.push(Sequence {
+                        kernel_path: seq2.iter().map(|&i| self.steps[i as usize].1).collect(),
+                        steps: seq2.clone(),
+                        rel: rel2.clone(),
+                    });
                     next.push((seq2, Some(rel2)));
                 }
             }
             frontier = next;
         }
-        EntailmentIndex {
-            sequences,
-            by_target: FxHashMap::default(),
+        self.sequences = sequences;
+        self.by_target.clear();
+        Ok(())
+    }
+
+    /// The index of step `r`, compiling it on first sight.
+    fn intern_step(&mut self, r: &Nre) -> Result<u32> {
+        if let Some(&i) = self.step_index.get(r) {
+            return Ok(i);
         }
+        let id = if r.is_test_free() {
+            Some(self.kernel.add_step(r)?)
+        } else {
+            None
+        };
+        let i = self.steps.len() as u32;
+        self.steps.push((r.clone(), id));
+        self.step_index.insert(r.clone(), i);
+        Ok(i)
     }
 
     /// The pairs of pattern nodes certainly related by `target` in every
     /// represented graph (sound, path-bounded). Memoized per target.
-    fn entailment_relation(
-        &mut self,
-        pattern: &GraphPattern,
-        target: &Nre,
-        incl_cache: &mut FxHashMap<(Vec<Nre>, Nre), bool>,
-    ) -> Result<&BinRel> {
+    fn entailment_relation(&mut self, pattern: &GraphPattern, target: &Nre) -> Result<&BinRel> {
         if !self.by_target.contains_key(target) {
+            let target_id = match self.targets.get(target) {
+                Some(&id) => id,
+                None => {
+                    let id = if target.is_test_free() {
+                        Some(self.kernel.add_target(target)?)
+                    } else {
+                        None
+                    };
+                    self.targets.insert(target.clone(), id);
+                    id
+                }
+            };
             let mut rel = BinRel::new();
             // Length 0: ε ∈ L(target) relates every node to itself.
             if target.nullable() {
@@ -322,18 +394,16 @@ impl EntailmentIndex {
                     rel.insert(id, id);
                 }
             }
-            for (seq, seq_rel) in &self.sequences {
-                let key = (seq.clone(), target.clone());
-                let ok = match incl_cache.get(&key) {
-                    Some(&b) => b,
-                    None => {
-                        let b = sequence_included(seq, target)?;
-                        incl_cache.insert(key, b);
-                        b
-                    }
+            for seq in &self.sequences {
+                // `L(r₁·…·r_m) ⊆ L(target)`: the kernel on test-free
+                // sequences, single-step syntactic equality otherwise
+                // (sound, incomplete).
+                let ok = match (target_id, &seq.kernel_path) {
+                    (Some(t), Some(path)) => self.kernel.included(path, t),
+                    _ => seq.steps.len() == 1 && self.steps[seq.steps[0] as usize].0 == *target,
                 };
                 if ok {
-                    for (u, v) in seq_rel.iter() {
+                    for (u, v) in seq.rel.iter() {
                         rel.insert(u, v);
                     }
                 }
@@ -351,22 +421,22 @@ pub fn certain_matches(
     pattern: &GraphPattern,
     body: &gdx_query::Cnre,
     cfg: EgdChaseConfig,
-    incl_cache: &mut FxHashMap<(Vec<Nre>, Nre), bool>,
 ) -> Result<Vec<FxHashMap<Symbol, PNodeId>>> {
-    let mut index = EntailmentIndex::build(pattern, cfg);
-    certain_matches_indexed(pattern, body, &mut index, incl_cache)
+    let mut index = EntailmentIndex::new(cfg);
+    index.refresh(pattern)?;
+    certain_matches_indexed(pattern, body, &mut index)
 }
 
-/// [`certain_matches`] against a prebuilt per-round [`EntailmentIndex`].
+/// [`certain_matches`] against an [`EntailmentIndex`] loaded with
+/// `pattern`.
 pub fn certain_matches_indexed(
     pattern: &GraphPattern,
     body: &gdx_query::Cnre,
     index: &mut EntailmentIndex,
-    incl_cache: &mut FxHashMap<(Vec<Nre>, Nre), bool>,
 ) -> Result<Vec<FxHashMap<Symbol, PNodeId>>> {
     // Entailment relation per atom (shared per target via the index).
     for atom in &body.atoms {
-        index.entailment_relation(pattern, &atom.nre, incl_cache)?;
+        index.entailment_relation(pattern, &atom.nre)?;
     }
     let rels: Vec<&BinRel> = body
         .atoms
@@ -378,18 +448,6 @@ pub fn certain_matches_indexed(
     let mut binding: FxHashMap<Symbol, PNodeId> = FxHashMap::default();
     join(pattern, body, &rels, 0, &mut binding, &mut out)?;
     Ok(out)
-}
-
-/// `L(r₁·…·r_m) ⊆ L(target)`? Test-free sequences go through the automata
-/// library; anything with a nesting test falls back to single-step
-/// syntactic equality (sound, incomplete).
-fn sequence_included(seq: &[Nre], target: &Nre) -> Result<bool> {
-    let all_test_free = target.is_test_free() && seq.iter().all(Nre::is_test_free);
-    if all_test_free {
-        let concat = Nre::concat_all(seq.iter().cloned());
-        return included(&concat, target);
-    }
-    Ok(seq.len() == 1 && &seq[0] == target)
 }
 
 fn join(
@@ -739,8 +797,7 @@ mod tests {
         };
         // Trivial egd x = x would be rejected by validation, but
         // certain_matches itself must handle identity entailment.
-        let mut cache = FxHashMap::default();
-        let ms = certain_matches(&p, &egd.body, EgdChaseConfig::default(), &mut cache).unwrap();
+        let ms = certain_matches(&p, &egd.body, EgdChaseConfig::default()).unwrap();
         assert_eq!(ms.len(), 2, "every node matches (x, f*, x)");
     }
 }

@@ -119,11 +119,8 @@ proptest! {
         if let EgdChaseOutcome::Success { pattern, .. } =
             chase_egds_on_pattern(&p, &egds, cfg).unwrap()
         {
-            let mut cache = gdx_common::FxHashMap::default();
-            let ms = gdx_chase::egd_pattern::certain_matches(
-                &pattern, &egds[0].body, cfg, &mut cache,
-            )
-            .unwrap();
+            let ms = gdx_chase::egd_pattern::certain_matches(&pattern, &egds[0].body, cfg)
+                .unwrap();
             for m in ms {
                 prop_assert_eq!(
                     m[&egds[0].lhs], m[&egds[0].rhs],

@@ -4,7 +4,7 @@
 //! node ids, `(u32, u32)` pairs). The standard library's SipHash is
 //! DoS-resistant but slow for such keys; the rustc-fx algorithm is the usual
 //! replacement. Rather than pull in a dependency for ~30 lines, we implement
-//! it here (see DESIGN.md §6).
+//! it here.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -23,7 +23,8 @@ pub struct Token {
 /// Token payloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokenKind {
-    /// Identifier: `[A-Za-z0-9_][A-Za-z0-9_']*` (may start with a digit).
+    /// Identifier: `[A-Za-z0-9_][A-Za-z0-9_']*` (may start with a digit),
+    /// or `_~` followed by identifier characters (a printed fresh null).
     Ident(String),
     /// A `"quoted string"` — used where constants must be distinguished
     /// from variables (query atoms).
@@ -192,7 +193,10 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
             c if is_ident_char(c) => {
                 let mut s = String::new();
                 while let Some(&c) = chars.peek() {
-                    if !is_ident_char(c) {
+                    // `_~` opens the printed name of a fresh labeled null
+                    // (`_~3`), so printed graphs parse back.
+                    let null_tilde = c == '~' && s == "_";
+                    if !is_ident_char(c) && !null_tilde {
                         break;
                     }
                     s.push(c);
@@ -372,6 +376,27 @@ mod tests {
 
     fn kinds(s: &str) -> Vec<TokenKind> {
         tokenize(s).unwrap().into_iter().map(|t| t.kind).collect()
+    }
+
+    #[test]
+    fn printed_fresh_null_names_lex_as_identifiers() {
+        assert_eq!(
+            kinds("(_~12, f, x_)"),
+            vec![
+                TokenKind::LParen,
+                TokenKind::Ident("_~12".into()),
+                TokenKind::Comma,
+                TokenKind::Ident("f".into()),
+                TokenKind::Comma,
+                TokenKind::Ident("x_".into()),
+                TokenKind::RParen,
+                TokenKind::Eof,
+            ]
+        );
+        // `~` stays foreign everywhere else.
+        assert!(tokenize("a~1").is_err());
+        assert!(tokenize("_a~1").is_err());
+        assert!(tokenize("~1").is_err());
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! disjunct; per egd and per path of potential edges spelling the egd word
 //! between two **distinct** constants, a negative clause forbidding that
 //! path. The encoding is exact: a model ⇔ a solution among subgraphs of
-//! the potential edges, and any solution restricts to such a subgraph
-//! (see DESIGN.md §5, item 4).
+//! the potential edges, and any solution restricts to such a subgraph.
 //!
 //! On settings produced by [`crate::reduction::Reduction::from_cnf`] the
 //! encoding is (up to variable naming) the original formula plus the

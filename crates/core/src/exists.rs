@@ -18,7 +18,7 @@
 //!      `NoSolution` only if the setting lies in the *exact fragment*
 //!      (star-free, non-nullable s-t heads; no target tgds) where the
 //!      candidate family provably covers all homomorphism-minimal
-//!      solutions — otherwise `Unknown` (see DESIGN.md §5).
+//!      solutions — otherwise `Unknown` (see [`exact_fragment`]).
 //!
 //! The search itself lives in [`crate::session`]: candidates stream out of
 //! [`crate::ExchangeSession::solutions`] lazily, so existence stops at the
@@ -120,8 +120,9 @@ pub fn enumerate_minimal_solutions(
 
 /// The fragment where the candidate family is provably complete: egds with
 /// arbitrary bodies, sameAs constraints allowed, but every s-t head NRE
-/// star-free and non-nullable, and no proper target tgds. See DESIGN.md §5
-/// for the homomorphism argument.
+/// star-free and non-nullable, and no proper target tgds. Each head NRE
+/// then has finitely many witness words, none of them empty, so the
+/// bounded candidate family covers every homomorphism-minimal solution.
 pub fn exact_fragment(setting: &Setting) -> bool {
     if setting.has_target_tgds() {
         return false;

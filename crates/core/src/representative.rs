@@ -66,8 +66,7 @@ impl UniversalRepresentative {
         cfg: &Options,
     ) -> Result<Vec<Vec<gdx_graph::Node>>> {
         use gdx_chase::egd_pattern::certain_matches;
-        let mut cache = gdx_common::FxHashMap::default();
-        let matches = certain_matches(&self.pattern, query, cfg.egd_chase, &mut cache)?;
+        let matches = certain_matches(&self.pattern, query, cfg.egd_chase)?;
         let vars = query.variables();
         let mut rows: Vec<Vec<gdx_graph::Node>> = matches
             .into_iter()

@@ -1,8 +1,8 @@
 //! # gdx-datagen
 //!
-//! Workload generators for the reproduction experiments (DESIGN.md §2's
-//! substitution: the paper reports no datasets, so scaled versions of its
-//! own running example plus standard random families are used).
+//! Workload generators for the reproduction experiments (the paper
+//! reports no datasets, so scaled versions of its own running example plus
+//! standard random families are used).
 //!
 //! * [`random_3cnf`] — uniform random 3-CNF (distinct variables per
 //!   clause); swept across the clause/variable ratio this exhibits the

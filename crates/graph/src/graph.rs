@@ -66,9 +66,8 @@ impl Node {
     }
 }
 
-/// Deterministic source of fresh labeled nulls (names `~0`, `~1`, …; `~`
-/// never lexes as an identifier, so fresh nulls cannot collide with parsed
-/// ones).
+/// Deterministic source of fresh labeled nulls (names `~0`, `~1`, …,
+/// printed `_~0`, `_~1`, …; [`Graph::parse`] reads that form back).
 ///
 /// Each chase run owns its own factory, so null names depend only on the
 /// run itself — not on how many chases executed earlier in the process
@@ -853,6 +852,9 @@ impl Graph {
     /// ```text
     /// (c1, f, _N); (_N, h, hx); (_N, f, c2);
     /// ```
+    ///
+    /// Fresh nulls print as `_~0`, `_~1`, … and parse back as the same
+    /// nulls, so `Graph::parse(&g.to_string())` is isomorphic to `g`.
     ///
     /// Isolated nodes can be declared as `node(x);` / `node(_x);`.
     pub fn parse(input: &str) -> Result<Graph> {

@@ -9,8 +9,7 @@
 //! Every NRE has at least one witness (there is no empty-language
 //! constructor in the grammar). The chase instantiates the *shortest*
 //! witness; the counterexample search of certain answering enumerates a
-//! bounded family of witnesses (star unrolled `0..=k` times) — see
-//! DESIGN.md §5.
+//! bounded family of witnesses (star unrolled `0..=k` times).
 
 use crate::ast::Nre;
 use gdx_common::{FxHashSet, GdxError, Result, Symbol};

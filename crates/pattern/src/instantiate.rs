@@ -7,7 +7,7 @@
 //! target constraints; the *family* of bounded instantiations is the
 //! candidate pool for certain-answer counterexample search (these are
 //! homomorphism-minimal members of `Rep_Σ(π)` up to the enumeration
-//! bounds — see DESIGN.md §5).
+//! bounds).
 //!
 //! Edges whose language is `{ε}` force their endpoints to be equal; the
 //! instantiator resolves those by merging (failing when both endpoints are

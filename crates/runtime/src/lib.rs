@@ -242,12 +242,15 @@ impl Runtime {
                             // Own deque from the back; steal from the
                             // front of the neighbours' otherwise. All
                             // tasks exist up front, so empty-everywhere
-                            // means finished.
-                            let task = match deques[w]
+                            // means finished. The pop is bound before the
+                            // `match` so the own-deque guard drops here:
+                            // held into the steal arm, two idle workers
+                            // would each wait on the other's lock.
+                            let own = deques[w]
                                 .lock()
                                 .unwrap_or_else(PoisonError::into_inner)
-                                .pop_back()
-                            {
+                                .pop_back();
+                            let task = match own {
                                 Some(ci) => Some(ci),
                                 None => {
                                     let stolen = (1..workers).find_map(|k| {

@@ -146,10 +146,7 @@ fn endpoints_agree_with_the_library() {
     // is_solution: a real witness verifies, a junk graph does not.
     let mut lib = library_session();
     let witness = match lib.solution_exists().unwrap() {
-        // The library names nulls `~N`, which the edge-list grammar
-        // does not accept back; re-name them (`is_solution` is
-        // invariant under null renaming).
-        Existence::Exists(g) => g.to_string().replace("_~", "_n"),
+        Existence::Exists(g) => g.to_string(),
         other => panic!("expected Exists, got {other:?}"),
     };
     let yes = post(addr, "/v1/is_solution", vec![("graph", json::s(&*witness))]);
@@ -261,6 +258,45 @@ fn endpoints_agree_with_the_library() {
         .collect();
     assert_eq!(limited_lines.len(), 2, "{limited_lines:?}");
 
+    server.stop();
+}
+
+#[test]
+fn streamed_solutions_post_back_to_is_solution_unchanged() {
+    let server = boot(|_| {});
+    let addr = server.addr();
+    let stream = post(addr, "/v1/solutions", Vec::new());
+    assert_eq!(stream.status, 200);
+    let graphs: Vec<String> = std::str::from_utf8(&stream.body)
+        .unwrap()
+        .lines()
+        .filter_map(|l| {
+            json::parse(l)
+                .unwrap()
+                .get("solution")
+                .and_then(Json::as_str)
+                .map(str::to_owned)
+        })
+        .collect();
+    assert!(
+        graphs.iter().any(|g| g.contains("_~")),
+        "the family carries fresh nulls: {graphs:?}"
+    );
+    for graph in &graphs {
+        // Byte for byte: no renaming between the two endpoints.
+        let verdict = post(addr, "/v1/is_solution", vec![("graph", json::s(graph))]);
+        assert_eq!(
+            verdict.status,
+            200,
+            "{graph}: {:?}",
+            String::from_utf8_lossy(&verdict.body)
+        );
+        assert_eq!(
+            verdict.json().get("solution").and_then(Json::as_bool),
+            Some(true),
+            "{graph}"
+        );
+    }
     server.stop();
 }
 

@@ -7,7 +7,7 @@
 //! > *Graph Data Exchange with Target Constraints.*
 //! > EDBT/ICDT Workshops — Querying Graph Structured Data (GraphQ), 2015.
 //!
-//! See the README for a quickstart and DESIGN.md for the system inventory.
+//! See ARCHITECTURE.md for the crate map and the design of each layer.
 //!
 //! The usual entry points are:
 //!

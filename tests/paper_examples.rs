@@ -1,5 +1,5 @@
 //! Integration tests reproducing the paper's figures and worked examples
-//! (experiments E1–E4, E8–E10 of DESIGN.md §4) through the public API of
+//! (experiments E1–E4, E8–E10) through the public API of
 //! the `gdx` meta-crate.
 
 use gdx::chase::egd_pattern::adapted_chase;

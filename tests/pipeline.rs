@@ -151,3 +151,30 @@ fn graph_and_pattern_files_roundtrip() {
     let p2 = GraphPattern::parse(&p.to_string()).unwrap();
     assert_eq!(p.edge_count(), p2.edge_count());
 }
+
+#[test]
+fn chased_solutions_print_and_parse_back() {
+    // Fresh nulls print as `_~N`; the edge-list parser must accept exactly
+    // what `Display` prints.
+    let setting = gdx::mapping::dsl::parse_setting(
+        "source { Hop/2 }
+         target { f; svc }
+         sttgd Hop(x, y) -> exists m : (x, f, m), (m, f, y);
+         tgd (x, f, y) -> exists s : (y, svc, s);",
+    )
+    .unwrap();
+    let inst = Instance::parse(setting.source.clone(), "Hop(a, b); Hop(b, c);").unwrap();
+    let mut ex = ExchangeSession::new(setting, inst);
+    let sol = ex.solution_exists().unwrap();
+    let g = sol.witness().expect("weakly acyclic tgds: solution exists");
+    let text = g.to_string();
+    assert!(text.contains("_~"), "fresh nulls in the solution: {text}");
+    let back = Graph::parse(&text).unwrap();
+    assert!(gdx::graph::is_isomorphic(g, &back), "{text}");
+    assert_eq!(
+        back.to_string(),
+        text,
+        "printing is stable across a round trip"
+    );
+    assert!(ex.is_solution(&back).unwrap());
+}
