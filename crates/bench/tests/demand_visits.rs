@@ -9,7 +9,7 @@ use gdx_common::FxHashSet;
 use gdx_datagen::{flights_hotels, rng, FlightsHotelsParams};
 use gdx_graph::{Node, NodeId};
 use gdx_mapping::Setting;
-use gdx_nre::demand::DemandEvaluator;
+use gdx_nre::demand::{DemandAutomata, DemandScratch};
 use gdx_nre::eval::EvalCache;
 use gdx_nre::parse::parse_nre;
 use gdx_query::{PlannerMode, PreparedQuery};
@@ -33,15 +33,16 @@ fn seeded_certain_check_visits_under_ten_percent() {
 
     // What full materialization enumerates, measured in the same unit:
     // the product-BFS visit count when *every* node is a seed.
-    let mut full = DemandEvaluator::try_new(&r).expect("in fragment");
+    let auto = DemandAutomata::compile(&r).expect("in fragment");
+    let mut full = DemandScratch::default();
     for u in g.node_ids() {
-        full.image(&g, u);
+        auto.image(&mut full, &g, u);
     }
     let full_visits = full.stats().visited;
 
     // The seeded certain-answer probe, exactly as the planner issues it:
-    // both endpoints constant. Read the visit counter out of the cache's
-    // demand pool afterwards.
+    // both endpoints constant. Read the visit counter out of the prepared
+    // query's scratch afterwards.
     let city0 = g.node_id(Node::cst("city0")).expect("city0 present");
     let probe = PreparedQuery::parse("(\"city0\", f.f*.[h].f-.(f-)*, \"city1\")").expect("probe");
     let mut cache = EvalCache::new();
@@ -75,6 +76,6 @@ fn seeded_certain_check_visits_under_ten_percent() {
     // Cross-check the counter against ground truth: the seeded visit
     // count is bounded by |reachable slice| × |states|, far below the
     // whole product space for one seed.
-    let reachable: FxHashSet<NodeId> = full.image(&g, city0).iter().copied().collect();
+    let reachable: FxHashSet<NodeId> = auto.image(&mut full, &g, city0).iter().copied().collect();
     assert!(reachable.len() < g.node_count());
 }

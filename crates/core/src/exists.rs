@@ -22,15 +22,14 @@
 //!
 //! The search itself lives in [`crate::session`]: candidates stream out of
 //! [`crate::ExchangeSession::solutions`] lazily, so existence stops at the
-//! first verified witness. The free functions here are deprecated one-shot
-//! wrappers over a throwaway session. This module keeps the shared
-//! machinery: the [`Existence`] outcome, the exact-fragment test, and the
-//! concrete-graph egd repair used both by the solver and by callers
-//! patching graphs by hand.
+//! first verified witness ([`crate::ExchangeSession::solution_exists`]).
+//! This module keeps the shared machinery: the [`Existence`] outcome, the
+//! exact-fragment test, and the concrete-graph egd repair
+//! ([`EgdRepairer`]) used both by the solver and by callers patching
+//! graphs by hand.
 
 use crate::options::Options;
-use crate::session::ExchangeSession;
-use gdx_chase::{chase_st, chase_target_tgds, saturate_same_as, EgdChaseOutcome, StChaseVariant};
+use gdx_chase::{chase_st, chase_target_tgds, saturate_same_as, StChaseVariant};
 use gdx_common::{GdxError, Result};
 use gdx_graph::{Graph, NodeId};
 use gdx_mapping::{Egd, Setting};
@@ -38,13 +37,6 @@ use gdx_nre::eval::EvalCache;
 use gdx_nre::Nre;
 use gdx_query::PreparedQuery;
 use gdx_relational::Instance;
-
-/// The former name of [`Options`], kept so downstream code compiles.
-#[deprecated(
-    note = "renamed to `gdx_exchange::Options` (the sat solver's config is re-exported \
-                     as `gdx_sat::SatConfig`)"
-)]
-pub type SolverConfig = Options;
 
 /// Outcome of the existence decision.
 // The witness graph *is* the payload of the variant; boxing it would
@@ -75,49 +67,6 @@ impl Existence {
     }
 }
 
-/// Decides whether `Sol_Ω(I) ≠ ∅`.
-#[deprecated(
-    note = "use `ExchangeSession::solution_exists` — a session reuses the chased \
-                     representative and engine caches across calls"
-)]
-pub fn solution_exists(instance: &Instance, setting: &Setting, cfg: &Options) -> Result<Existence> {
-    ExchangeSession::new(setting.clone(), instance.clone())
-        .with_options(*cfg)
-        .solution_exists()
-}
-
-/// Enumerates verified solutions from the canonical candidate family.
-///
-/// Returns `(solutions, exact)`. When `exact` is true the family provably
-/// covers all homomorphism-minimal solutions, so:
-/// * an empty list proves `Sol_Ω(I) = ∅`;
-/// * for a positive query, a tuple is a certain answer iff it is an answer
-///   in *every* listed solution.
-///
-/// With `first_only`, stops at the first verified solution.
-#[deprecated(
-    note = "use `ExchangeSession::solutions` — the session streams verified solutions \
-                     lazily instead of materializing the whole family"
-)]
-pub fn enumerate_minimal_solutions(
-    instance: &Instance,
-    setting: &Setting,
-    cfg: &Options,
-    first_only: bool,
-) -> Result<(Vec<Graph>, bool)> {
-    let mut session = ExchangeSession::new(setting.clone(), instance.clone()).with_options(*cfg);
-    let mut stream = session.solutions()?;
-    let mut out = Vec::new();
-    for g in &mut stream {
-        out.push(g?);
-        if first_only {
-            break;
-        }
-    }
-    let exact = stream.exact();
-    Ok((out, exact))
-}
-
 /// The fragment where the candidate family is provably complete: egds with
 /// arbitrary bodies, sameAs constraints allowed, but every s-t head NRE
 /// star-free and non-nullable, and no proper target tgds. Each head NRE
@@ -144,63 +93,6 @@ fn star_free(r: &Nre) -> bool {
     }
 }
 
-/// The concrete-graph egd chase: repeatedly merge nodes forced equal by
-/// egd matches. Returns `None` when two distinct constants clash.
-/// Terminates because every merge shrinks the node count.
-pub fn repair_egds(graph: &Graph, egds: &[Egd]) -> Result<Option<Graph>> {
-    if egds.is_empty() {
-        return Ok(Some(graph.clone()));
-    }
-    let prepared: Vec<PreparedEgd> = egds.iter().map(PreparedEgd::new).collect();
-    let mut g = graph.clone();
-    loop {
-        let mut merge: Option<(NodeId, NodeId)> = None;
-        {
-            let mut cache = EvalCache::new();
-            'outer: for egd in &prepared {
-                let matches = egd.body.matches(&g, &mut cache)?;
-                for row in matches.rows() {
-                    if row[egd.li] != row[egd.ri] {
-                        merge = Some((row[egd.li], row[egd.ri]));
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        let Some((a, b)) = merge else {
-            return Ok(Some(g));
-        };
-        let (na, nb) = (g.node(a), g.node(b));
-        match (na.is_const(), nb.is_const()) {
-            (true, true) => return Ok(None),
-            (true, false) => g.record_merge(a, b),
-            _ => g.record_merge(b, a),
-        }
-        g.collapse_merges();
-    }
-}
-
-/// Variant of [`repair_egds`] driven by a union-find, merging *all*
-/// violations found in one evaluation round before re-evaluating —
-/// noticeably faster on patterns with many parallel violations. Used by
-/// the benchmark harness as an ablation (B5).
-pub fn repair_egds_batched(graph: &Graph, egds: &[Egd]) -> Result<Option<Graph>> {
-    let mut g = graph.clone();
-    if repair_egds_in_place(&mut g, egds)? {
-        Ok(Some(g))
-    } else {
-        Ok(None)
-    }
-}
-
-/// In-place core of [`repair_egds_batched`]: merges all forced violations
-/// to fixpoint, returning `false` on a constant clash. When no violation
-/// exists, the graph value is left untouched — its [`gdx_graph::GraphId`]
-/// survives, so incremental engines watching the graph keep their caches.
-pub fn repair_egds_in_place(g: &mut Graph, egds: &[Egd]) -> Result<bool> {
-    EgdRepairer::new(egds).repair(g)
-}
-
 /// One egd with its body query compiled and the columns of the equated
 /// variables resolved.
 struct PreparedEgd {
@@ -221,15 +113,34 @@ impl PreparedEgd {
     }
 }
 
-/// The concrete-graph egd repair with its queries compiled once — the
-/// session holds one of these and runs it on every candidate (per repair
-/// round), so the per-candidate cost is evaluation only.
-pub(crate) struct EgdRepairer {
+/// The concrete-graph egd chase: repeatedly merge nodes forced equal by
+/// egd matches, with the egd bodies compiled once. The session holds one
+/// of these and runs it on every candidate (per repair round), so the
+/// per-candidate cost is evaluation only; callers patching graphs by hand
+/// use the same entry point.
+///
+/// ```
+/// use gdx_common::Symbol;
+/// use gdx_exchange::exists::EgdRepairer;
+/// use gdx_graph::Graph;
+/// use gdx_mapping::Egd;
+/// use gdx_query::Cnre;
+/// let egd = Egd {
+///     body: Cnre::parse("(x1, h, x3), (x2, h, x3)").unwrap(),
+///     lhs: Symbol::new("x1"),
+///     rhs: Symbol::new("x2"),
+/// };
+/// let mut g = Graph::parse("(_N1, h, hx); (_N2, h, hx);").unwrap();
+/// assert!(EgdRepairer::new(&[egd]).repair(&mut g).unwrap());
+/// assert_eq!(g.node_count(), 2, "the two nulls merged");
+/// ```
+pub struct EgdRepairer {
     egds: Vec<PreparedEgd>,
 }
 
 impl EgdRepairer {
-    pub(crate) fn new(egds: &[Egd]) -> EgdRepairer {
+    /// Compiles the bodies of `egds`.
+    pub fn new(egds: &[Egd]) -> EgdRepairer {
         EgdRepairer {
             egds: egds.iter().map(PreparedEgd::new).collect(),
         }
@@ -242,8 +153,10 @@ impl EgdRepairer {
     /// rebuild — one rebuild per round, not per merge. Returns `false` on
     /// a constant clash (any pending merges are discarded, leaving the
     /// graph unchanged). Violation-free graphs keep their value (and
-    /// [`gdx_graph::GraphId`]) untouched.
-    pub(crate) fn repair(&self, g: &mut Graph) -> Result<bool> {
+    /// [`gdx_graph::GraphId`]) untouched, so incremental engines watching
+    /// the graph keep their caches. Terminates because every merge
+    /// shrinks the node count.
+    pub fn repair(&self, g: &mut Graph) -> Result<bool> {
         if self.egds.is_empty() {
             return Ok(true);
         }
@@ -313,35 +226,6 @@ pub fn construct_solution_no_egds(
         }
     }
     Ok(g)
-}
-
-/// Exposes the chased pattern for inspection (and for the representative
-/// module).
-#[deprecated(
-    note = "use `ExchangeSession::representative` — the session memoizes the chased \
-                     pattern across calls"
-)]
-pub fn chased_pattern(
-    instance: &Instance,
-    setting: &Setting,
-    cfg: &Options,
-) -> Result<EgdChaseOutcome> {
-    use crate::representative::RepresentativeOutcome;
-    let mut session = ExchangeSession::new(setting.clone(), instance.clone()).with_options(*cfg);
-    Ok(match session.representative()? {
-        RepresentativeOutcome::Representative(rep) => EgdChaseOutcome::Success {
-            pattern: rep.pattern.clone(),
-            merges: session.representative_merges(),
-        },
-        RepresentativeOutcome::ChaseFailed => {
-            // A ChaseFailed outcome always records the clashing pair.
-            #[allow(clippy::expect_used)]
-            let (constants, merges) = session
-                .representative_failure()
-                .expect("ChaseFailed records its clash");
-            EgdChaseOutcome::Failed { constants, merges }
-        }
-    })
 }
 
 #[cfg(test)]
@@ -488,17 +372,12 @@ mod tests {
             lhs: Symbol::new("x1"),
             rhs: Symbol::new("x2"),
         };
-        for repaired in [
-            repair_egds(&g, std::slice::from_ref(&egd))
-                .unwrap()
-                .unwrap(),
-            repair_egds_batched(&g, std::slice::from_ref(&egd))
-                .unwrap()
-                .unwrap(),
-        ] {
-            assert_eq!(repaired.node_count(), 3);
-            assert_eq!(repaired.edge_count(), 2);
-        }
+        let mut repaired = g.clone();
+        assert!(EgdRepairer::new(std::slice::from_ref(&egd))
+            .repair(&mut repaired)
+            .unwrap());
+        assert_eq!(repaired.node_count(), 3);
+        assert_eq!(repaired.edge_count(), 2);
     }
 
     #[test]
@@ -509,10 +388,13 @@ mod tests {
             lhs: Symbol::new("x1"),
             rhs: Symbol::new("x2"),
         };
-        assert!(repair_egds(&g, std::slice::from_ref(&egd))
-            .unwrap()
-            .is_none());
-        assert!(repair_egds_batched(&g, &[egd]).unwrap().is_none());
+        let mut clashed = g.clone();
+        assert!(!EgdRepairer::new(&[egd]).repair(&mut clashed).unwrap());
+        assert_eq!(
+            clashed.node_count(),
+            g.node_count(),
+            "clash leaves the graph unchanged"
+        );
     }
 
     #[test]
@@ -544,20 +426,5 @@ mod tests {
         let inst = Instance::parse(schema, "R(a, b); R(b, c);").unwrap();
         let ex = session(&inst, &setting).solution_exists().unwrap();
         assert!(ex.exists());
-    }
-
-    #[test]
-    fn deprecated_wrappers_still_delegate() {
-        // The compatibility surface: old one-shot functions answer exactly
-        // like a fresh session.
-        #![allow(deprecated)]
-        let inst = Instance::example_2_2();
-        let setting = Setting::example_2_2_egd();
-        let cfg = Options::default();
-        let ex = solution_exists(&inst, &setting, &cfg).unwrap();
-        assert!(ex.exists());
-        let (sols, _exact) = enumerate_minimal_solutions(&inst, &setting, &cfg, false).unwrap();
-        assert!(!sols.is_empty());
-        assert!(chased_pattern(&inst, &setting, &cfg).unwrap().succeeded());
     }
 }

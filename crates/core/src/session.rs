@@ -58,7 +58,7 @@ use gdx_nre::eval::EvalCache;
 use gdx_nre::{DemandStats, Nre};
 use gdx_obs::Obs;
 use gdx_pattern::InstantiationFamily;
-use gdx_query::{evaluate_with_scratch, PreparedQuery};
+use gdx_query::{NodeBindings, PreparedQuery};
 use gdx_relational::Instance;
 use gdx_runtime::Runtime;
 
@@ -518,11 +518,11 @@ impl ExchangeSession {
             return self.certain_partial(query);
         }
         {
-            // Fan the probe out across the memoized solution family —
-            // speculative with a parallel runtime (whole family probed
-            // ahead), first-failure early exit with a sequential one —
-            // but the verdict always picks the lowest-index failure, so
-            // both are identical to the PR-3 sequential scan.
+            // Fan the probe out across the memoized solution family, one
+            // group of `workers` graphs at a time, stopping after the
+            // first group with a failure; the verdict picks the
+            // lowest-index failure, so every worker count agrees with
+            // the sequential scan.
             let memo = self.solutions_memo.take().expect("ensured");
             let holds_res = self.family_probe(&memo.graphs, query, Some(1), true);
             self.solutions_memo = Some(memo);
@@ -686,33 +686,32 @@ impl ExchangeSession {
     /// Evaluates `query` over every graph of the (temporarily detached)
     /// solution family, returning one result per graph in family order.
     ///
-    /// With a parallel runtime and several graphs, evaluations fan out
-    /// one graph per worker: each graph's persistent materialization
-    /// cache leaves `graph_caches`, is owned exclusively by its worker
-    /// (the per-worker-scratch pattern — demand automata compile into the
-    /// worker's cache, since a `PreparedQuery`'s pool cannot cross
-    /// threads), and merges back at the barrier. A single-graph family
-    /// keeps the prepared path and moves the parallelism *inside* the
-    /// evaluation instead.
+    /// Graphs are probed in groups, one graph per worker: every worker
+    /// shares `query` (each evaluation checks out its own demand scratch)
+    /// and owns that graph's persistent materialization cache, which
+    /// leaves `graph_caches` for the group and merges back at the
+    /// barrier. A group of one graph moves the runtime's parallelism
+    /// *inside* that evaluation instead.
     ///
-    /// `stop_at_first_empty` restores the sequential scan's
-    /// first-counterexample early exit: the returned vector may then be a
-    /// prefix of the family, ending at its first empty result. The
-    /// parallel fan-out ignores it (probing past the first failure is the
-    /// point of speculation); callers must only rely on the *lowest-index*
-    /// empty entry, which both paths agree on.
+    /// With `stop_at_first_empty` a group holds `rt.workers()` graphs and
+    /// the probe returns after the first group holding an empty result:
+    /// the returned vector is then a prefix of the family ending at its
+    /// first empty result, whatever the worker count (at 1 worker, the
+    /// sequential first-counterexample scan). Otherwise one group covers
+    /// the whole family.
     fn family_probe(
         &mut self,
         graphs: &[Graph],
         query: &PreparedQuery,
         limit: Option<usize>,
         stop_at_first_empty: bool,
-    ) -> Result<Vec<gdx_query::NodeBindings>> {
+    ) -> Result<Vec<NodeBindings>> {
         let eval_start = self.obs.now_micros();
         let demand_before = demand_snapshot(query);
         let result = self.family_probe_inner(graphs, query, limit, stop_at_first_empty);
-        // Eval phase boundary: flush the probe's demand-evaluator effort
-        // delta and the wall time into the registry.
+        // Eval phase boundary: flush the probe's demand effort delta
+        // (summed over every scratch set the workers used) and the wall
+        // time into the registry.
         demand_snapshot(query)
             .delta_since(&demand_before)
             .record_into(&self.obs);
@@ -729,47 +728,46 @@ impl ExchangeSession {
         query: &PreparedQuery,
         limit: Option<usize>,
         stop_at_first_empty: bool,
-    ) -> Result<Vec<gdx_query::NodeBindings>> {
+    ) -> Result<Vec<NodeBindings>> {
         let planner = self.options.planner;
         let rt = self.runtime();
-        if !rt.is_parallel() || graphs.len() <= 1 {
-            let mut out = Vec::with_capacity(graphs.len());
-            for g in graphs {
-                let cache = self.graph_caches.entry(g.id()).or_default();
-                out.push(query.evaluate_limited_rt(
-                    g,
+        let group_len = if stop_at_first_empty {
+            rt.workers()
+        } else {
+            graphs.len().max(1)
+        };
+        let mut out = Vec::with_capacity(graphs.len());
+        for group in graphs.chunks(group_len) {
+            let inner = if group.len() > 1 {
+                Runtime::sequential()
+            } else {
+                rt.clone()
+            };
+            let mut caches: Vec<EvalCache> = group
+                .iter()
+                .map(|g| self.graph_caches.remove(&g.id()).unwrap_or_default())
+                .collect();
+            let results = rt.par_map_mut(&mut caches, |i, cache| {
+                query.evaluate_limited_rt(
+                    &group[i],
                     cache,
                     &FxHashMap::default(),
                     planner,
                     limit,
-                    &rt,
-                )?);
-                if stop_at_first_empty && out.last().is_some_and(|b| b.is_empty()) {
-                    break;
-                }
+                    &inner,
+                )
+            });
+            for (g, cache) in group.iter().zip(caches) {
+                self.graph_caches.insert(g.id(), cache);
             }
-            return Ok(out);
+            for rows in results {
+                out.push(rows?);
+            }
+            if stop_at_first_empty && out.iter().any(NodeBindings::is_empty) {
+                break;
+            }
         }
-        let cnre = query.cnre().clone();
-        let mut units: Vec<EvalCache> = graphs
-            .iter()
-            .map(|g| self.graph_caches.remove(&g.id()).unwrap_or_default())
-            .collect();
-        let results = rt.par_map_mut(&mut units, |i, cache| {
-            evaluate_with_scratch(
-                &graphs[i],
-                &cnre,
-                cache,
-                &FxHashMap::default(),
-                planner,
-                limit,
-                &Runtime::sequential(),
-            )
-        });
-        for (g, cache) in graphs.iter().zip(units) {
-            self.graph_caches.insert(g.id(), cache);
-        }
-        results.into_iter().collect()
+        Ok(out)
     }
 
     /// Fills the solution memo by draining a stream (no-op when already
@@ -813,16 +811,14 @@ impl ExchangeSession {
     }
 }
 
-/// Sums the cumulative [`DemandStats`] of every atom evaluator compiled
-/// into `query`'s demand pool — the session records *deltas* of this
-/// around each probe.
+/// Sums the cumulative [`DemandStats`] of every atom's compiled demand
+/// automata over `query`'s scratch pool — the session records *deltas* of
+/// this around each probe.
 fn demand_snapshot(query: &PreparedQuery) -> DemandStats {
     let mut total = DemandStats::default();
     for atom in &query.cnre().atoms {
         if let Some(s) = query.demand_stats(&atom.nre) {
-            total.visited += s.visited;
-            total.bfs_runs += s.bfs_runs;
-            total.guard_checks += s.guard_checks;
+            total += s;
         }
     }
     total

@@ -17,7 +17,7 @@ use gdx_common::{FxHashMap, Result, Symbol};
 use gdx_graph::{Graph, Node, NodeId};
 use gdx_mapping::{SameAs, Setting, TargetConstraint, TargetTgd};
 use gdx_nre::eval::EvalCache;
-use gdx_query::{evaluate_with_scratch, Cnre, PlannerMode, PreparedQuery};
+use gdx_query::PreparedQuery;
 use gdx_relational::{evaluate as eval_cq, Instance};
 use gdx_runtime::Runtime;
 
@@ -137,14 +137,12 @@ impl SolutionChecker {
     }
 
     /// Checks one batch of seeded head-witness obligations, fanning out
-    /// across workers (each with its own scratch [`EvalCache`] — the
-    /// prepared query's demand pool cannot cross threads) when the batch
-    /// clears [`PAR_MIN_OBLIGATIONS`]. `prepared` serves the sequential
-    /// path so its compiled automata are not rebuilt per call.
+    /// across workers when the batch clears [`PAR_MIN_OBLIGATIONS`]. The
+    /// workers share `prepared` (each evaluation checks out its own demand
+    /// scratch); each chunk keeps its own materialization [`EvalCache`].
     fn witnesses_all(
         &self,
         graph: &Graph,
-        head: &Cnre,
         prepared: &PreparedQuery,
         cache: &mut EvalCache,
         seeds: &[FxHashMap<Symbol, NodeId>],
@@ -157,10 +155,9 @@ impl SolutionChecker {
             }
             return Ok(true);
         }
-        // About two chunks per worker: each chunk pays for one scratch
-        // cache (automaton compilation / head materialization), so
-        // fewer, larger chunks amortize it better than fine-grained
-        // stealing would.
+        // About two chunks per worker: each chunk pays for one cold
+        // materialization cache, so fewer, larger chunks amortize it
+        // better than fine-grained stealing would.
         let chunk = seeds
             .len()
             .div_ceil(self.runtime.workers() * 2)
@@ -168,19 +165,9 @@ impl SolutionChecker {
         let verdicts = self
             .runtime
             .par_chunks(seeds, chunk, |_, chunk| -> Result<bool> {
-                let mut scratch = EvalCache::new();
+                let mut cache = EvalCache::new();
                 for seed in chunk {
-                    let witnessed = !evaluate_with_scratch(
-                        graph,
-                        head,
-                        &mut scratch,
-                        seed,
-                        PlannerMode::Auto,
-                        Some(1),
-                        &Runtime::sequential(),
-                    )?
-                    .is_empty();
-                    if !witnessed {
+                    if !prepared.evaluate_seeded_exists(graph, &mut cache, seed)? {
                         return Ok(false);
                     }
                 }
@@ -230,7 +217,7 @@ impl SolutionChecker {
             // by product-BFS from the bound endpoints, early-exiting at
             // the first witness — across workers when the trigger batch
             // is large.
-            if !self.witnesses_all(graph, &tgd.head, head, &mut cache, &seeds)? {
+            if !self.witnesses_all(graph, head, &mut cache, &seeds)? {
                 return Ok(false);
             }
         }
@@ -265,7 +252,7 @@ impl SolutionChecker {
                                 .collect()
                         })
                         .collect();
-                    if !self.witnesses_all(graph, &tgd.head, head, &mut cache, &seeds)? {
+                    if !self.witnesses_all(graph, head, &mut cache, &seeds)? {
                         return Ok(false);
                     }
                 }

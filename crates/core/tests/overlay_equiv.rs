@@ -13,7 +13,7 @@
 //! keep the egd repair merge-heavy, exercising the union-find overlay.
 
 use gdx_chase::{ChaseStats, SameAsEngine, TgdChaseConfig, TgdChaseEngine};
-use gdx_exchange::exists::repair_egds_in_place;
+use gdx_exchange::exists::EgdRepairer;
 use gdx_exchange::reduction::{Reduction, ReductionFlavor};
 use gdx_exchange::representative::RepresentativeOutcome;
 use gdx_exchange::{is_solution, ExchangeSession, Options};
@@ -89,6 +89,7 @@ fn run_pipeline(setting: &Setting, instance: &Instance, eager: bool) -> Pipeline
         }
     };
     let egds: Vec<Egd> = setting.egds().cloned().collect();
+    let repairer = EgdRepairer::new(&egds);
     let same_as: Vec<SameAs> = setting.same_as_constraints().cloned().collect();
     let target_tgds: Vec<TargetTgd> = setting.target_tgds().cloned().collect();
     let mut sameas_engine = (!same_as.is_empty()).then(|| SameAsEngine::new(&same_as));
@@ -120,7 +121,7 @@ fn run_pipeline(setting: &Setting, instance: &Instance, eager: bool) -> Pipeline
                     Err(e) => panic!("tgd chase failed: {e}"),
                 }
             }
-            if !repair_egds_in_place(&mut g, &egds).unwrap() {
+            if !repairer.repair(&mut g).unwrap() {
                 trace.clashed += 1;
                 continue 'candidates;
             }

@@ -36,6 +36,13 @@
 //!   variants): shared mutexes must recover from poisoning via
 //!   `PoisonError::into_inner`, so one caught panic cannot condemn
 //!   every later operation.
+//! * `lock-scrutinee` — a `.lock()`/`.read()`/`.write()` guard (or a
+//!   `try_` variant) created inside a `match`, `if let` or `while let`
+//!   scrutinee. Temporaries of a scrutinee live to the end of the whole
+//!   expression, so the guard stays held through every arm — the shape
+//!   of the `par_chunks` deadlock, where the empty-deque arm locked a
+//!   neighbour's deque while still holding its own. Bind the guarded
+//!   value in a `let` first.
 //! * `slice-index` — direct indexing `x[i]` in library code
 //!   (warn-tier): prefer `get()` or a justified allow.
 //!
@@ -106,6 +113,7 @@ pub enum Rule {
     ThreadSpawn,
     PanicMacro,
     LockUnwrap,
+    LockScrutinee,
     SliceIndex,
     UnsafeCode,
     ForbidUnsafe,
@@ -123,6 +131,7 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::ThreadSpawn,
     Rule::PanicMacro,
     Rule::LockUnwrap,
+    Rule::LockScrutinee,
     Rule::SliceIndex,
     Rule::UnsafeCode,
     Rule::ForbidUnsafe,
@@ -142,6 +151,7 @@ impl Rule {
             Rule::ThreadSpawn => "thread-spawn",
             Rule::PanicMacro => "panic-macro",
             Rule::LockUnwrap => "lock-unwrap",
+            Rule::LockScrutinee => "lock-scrutinee",
             Rule::SliceIndex => "slice-index",
             Rule::UnsafeCode => "unsafe-code",
             Rule::ForbidUnsafe => "forbid-unsafe",
@@ -317,7 +327,7 @@ impl FileCtx {
                     && !self.net_module
             }
             Rule::ThreadSpawn => self.crate_name != "gdx-runtime" && !self.net_module,
-            Rule::LockUnwrap | Rule::UnsafeCode => true,
+            Rule::LockUnwrap | Rule::LockScrutinee | Rule::UnsafeCode => true,
             // Crate-root / manifest rules are not per-file.
             Rule::ForbidUnsafe | Rule::DenyPreamble | Rule::DepShim => false,
             Rule::UnusedAllow | Rule::BadAllow => true,
@@ -364,6 +374,11 @@ mod tests {
         assert!(!runtime.applies(Rule::ThreadSpawn));
         assert!(cli.applies(Rule::ThreadSpawn));
         assert!(cli.applies(Rule::LockUnwrap));
+        assert!(
+            runtime.applies(Rule::LockScrutinee),
+            "the pool's own deques"
+        );
+        assert!(cli.applies(Rule::LockScrutinee));
         // gdx-server is an ordinary library crate except for net.rs,
         // which owns threads and the real clock (the process edge).
         assert!(server.applies(Rule::ThreadSpawn));

@@ -133,6 +133,9 @@ pub fn lint_source(file: &str, text: &str, ctx: &FileCtx) -> FileOutcome {
     if ctx.applies(Rule::LockUnwrap) {
         check_lock_unwrap(&toks, &mut raw);
     }
+    if ctx.applies(Rule::LockScrutinee) {
+        check_lock_scrutinee(&toks, &mut raw);
+    }
     if ctx.applies(Rule::SliceIndex) {
         check_slice_index(&toks, &mut raw);
     }
@@ -472,6 +475,90 @@ fn check_lock_unwrap(toks: &[Tok<'_>], out: &mut Vec<(Rule, u32, String)>) {
             ));
         }
     }
+}
+
+/// Flags a lock guard created inside a `match` / `if let` / `while let`
+/// scrutinee: the scrutinee's temporaries — the guard included — live
+/// until the end of the whole expression, i.e. through every arm.
+fn check_lock_scrutinee(toks: &[Tok<'_>], out: &mut Vec<(Rule, u32, String)>) {
+    for (i, t) in toks.iter().enumerate() {
+        let start = if t.is_ident("match") {
+            i + 1
+        } else if (t.is_ident("if") || t.is_ident("while"))
+            && toks.get(i + 1).is_some_and(|n| n.is_ident("let"))
+        {
+            match let_binding_eq(toks, i + 2) {
+                Some(eq) => eq + 1,
+                None => continue,
+            }
+        } else {
+            continue;
+        };
+        let guard = (start..scrutinee_end(toks, start)).find(|&j| {
+            toks[j].is_punct('.')
+                && toks
+                    .get(j + 1)
+                    .is_some_and(|m| m.kind == TokKind::Ident && LOCK_METHODS.contains(&m.text))
+                && toks.get(j + 2).is_some_and(|p| p.is_punct('('))
+                && toks.get(j + 3).is_some_and(|p| p.is_punct(')'))
+        });
+        if let Some(j) = guard {
+            out.push((
+                Rule::LockScrutinee,
+                toks[j + 1].line,
+                format!(
+                    "`.{}()` guard created in a `{}` scrutinee stays held through every arm: \
+                     bind the guarded value in a `let` first, so the guard drops before \
+                     the arms run (the `par_chunks` deadlock shape)",
+                    toks[j + 1].text,
+                    if t.is_ident("match") {
+                        "match".to_owned()
+                    } else {
+                        format!("{} let", t.text)
+                    }
+                ),
+            ));
+        }
+    }
+}
+
+/// Index of the `=` that ends the pattern of an `if let` / `while let`
+/// starting at `from` (skipping `==`, `=>`, `<=`, `>=`, `!=` and `..=`).
+fn let_binding_eq(toks: &[Tok<'_>], from: usize) -> Option<usize> {
+    let mut depth = 0i32;
+    for j in from..toks.len().min(from + 300) {
+        let t = &toks[j];
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+            depth -= 1;
+        } else if depth == 0 && t.is_punct('=') {
+            let next_is = |c| toks.get(j + 1).is_some_and(|n| n.is_punct(c));
+            let prev_is = |c| j > 0 && toks[j - 1].is_punct(c);
+            if !next_is('=') && !next_is('>') && !['=', '!', '<', '>', '.'].into_iter().any(prev_is)
+            {
+                return Some(j);
+            }
+        }
+    }
+    None
+}
+
+/// End (exclusive) of a scrutinee starting at `from`: the body's `{` at
+/// paren/bracket depth 0 (a scrutinee cannot hold a bare struct literal,
+/// so that brace opens the arms or the block).
+fn scrutinee_end(toks: &[Tok<'_>], from: usize) -> usize {
+    let mut depth = 0i32;
+    for (j, t) in toks.iter().enumerate().skip(from).take(300) {
+        if t.is_punct('(') || t.is_punct('[') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') {
+            depth -= 1;
+        } else if depth == 0 && (t.is_punct('{') || t.is_punct(';')) {
+            return j;
+        }
+    }
+    toks.len().min(from + 300)
 }
 
 fn check_slice_index(toks: &[Tok<'_>], out: &mut Vec<(Rule, u32, String)>) {
@@ -1002,6 +1089,31 @@ mod tests {
             "fn f() { m.lock().unwrap_or_else(std::sync::PoisonError::into_inner); }"
         )
         .is_empty());
+    }
+
+    #[test]
+    fn lock_scrutinee_fires_on_guards_held_through_arms() {
+        assert_eq!(
+            lint_lib("fn f() { match m.lock().unwrap_or_else(g).pop() { _ => {} } }"),
+            vec![(Rule::LockScrutinee, 1)]
+        );
+        assert_eq!(
+            lint_lib("fn f() { if let Some(x) = l.read().unwrap_or_else(g).get(0) { h(x); } }"),
+            vec![(Rule::LockScrutinee, 1)]
+        );
+        assert_eq!(
+            lint_lib("fn f() { while let Some(x) = q.lock().unwrap_or_else(g).pop() {} }"),
+            vec![(Rule::LockScrutinee, 1)]
+        );
+        // Bound first, the guard drops at the `let`'s semicolon.
+        assert!(lint_lib(
+            "fn f() { let x = m.lock().unwrap_or_else(g).pop(); match x { _ => {} } }"
+        )
+        .is_empty());
+        // Plain `if` conditions drop their temporaries before the block;
+        // `read(buf)` with arguments is I/O, not a lock.
+        assert!(lint_lib("fn f() { if m.lock().unwrap_or_else(g).is_empty() {} }").is_empty());
+        assert!(lint_lib("fn f() { match r.read(&mut buf) { _ => {} } }").is_empty());
     }
 
     #[test]

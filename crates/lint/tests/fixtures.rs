@@ -66,6 +66,7 @@ const VIOLATION_FIXTURES: &[&str] = &[
     "violations/thread_spawn.rs",
     "violations/panic_macro.rs",
     "violations/lock_unwrap.rs",
+    "violations/lock_scrutinee.rs",
     "violations/slice_index.rs",
     "violations/unsafe_code.rs",
     "violations/allows.rs",
@@ -78,6 +79,7 @@ const CLEAN_FIXTURES: &[&str] = &[
     "clean/thread_spawn.rs",
     "clean/panic_macro.rs",
     "clean/lock_unwrap.rs",
+    "clean/lock_scrutinee.rs",
     "clean/slice_index.rs",
 ];
 

@@ -19,9 +19,20 @@
 //! tests `[t]` become **guard transitions**: ε-like edges that fire at a
 //! graph node `u` only when `∃v. (u, v) ∈ ⟦t⟧` — decided on demand by a
 //! recursive, seeded sub-evaluation of `t` from exactly `u`, memoized per
-//! node. Backward runs ([`DemandEvaluator::preimage`]) use the automaton
+//! node. Backward runs ([`DemandAutomata::preimage`]) use the automaton
 //! of the reversed expression ([`Nre::reversed`]), under which guards stay
 //! in place as node predicates.
+//!
+//! # Compiled automata and scratch
+//!
+//! Evaluation state splits in two. [`DemandAutomata`] is the compiled,
+//! immutable half — forward and backward automata plus the guard
+//! sub-automata — and is `Send + Sync`, so one compilation serves every
+//! thread. [`DemandScratch`] is the mutable half: the graph-version pin,
+//! the frozen snapshot, the BFS bitsets and FIFO, the memo tables and the
+//! work counters. Every probe takes both; the caller decides which
+//! scratch a probe writes to (`gdx_query::PreparedQuery` keeps a small
+//! checkout pool of them).
 //!
 //! Expressions beyond [`MAX_STATES`] automaton states fall outside the
 //! supported fragment; [`eval_from`] / [`eval_into`] then fall back to the
@@ -38,9 +49,9 @@
 //! comes from the graph's frozen CSR snapshot ([`Graph::freeze`]) — the
 //! first probe of a version reads the mutable index, so chase loops that
 //! grow the graph between probes never pay per-epoch snapshot rebuilds.
-//! The visited/output sets are dense bitsets held by the evaluator and
+//! The visited/output sets are dense bitsets held by the scratch and
 //! reset in time proportional to the previous probe's reach — a probe
-//! allocates nothing once its evaluator is warm.
+//! allocates nothing once its scratch is warm.
 
 use crate::ast::Nre;
 use crate::eval::{eval, BinRel};
@@ -65,7 +76,7 @@ enum Action {
     /// Traverse one `a`-edge backward.
     Bwd(Symbol),
     /// Stay in place; fires only when the guard predicate holds at the
-    /// current node (index into [`GuardedNfa::guards`]).
+    /// current node (index into [`DemandAutomata::guards`]).
     Guard(u32),
 }
 
@@ -79,20 +90,38 @@ struct GuardedNfa {
     accept: Vec<bool>,
     /// Per-state transitions, targets ε-closed, sorted, deduplicated.
     trans: Vec<Vec<(Action, Vec<State>)>>,
-    /// Test subexpressions referenced by [`Action::Guard`].
-    guards: Vec<Nre>,
+}
+
+/// The distinct nesting-test subexpressions of one NRE, numbered in
+/// first-occurrence order. The forward and backward automata intern into
+/// one table (reversal keeps tests in place), so [`Action::Guard`] ids
+/// mean the same guard in both directions.
+#[derive(Default)]
+struct Guards {
+    list: Vec<Nre>,
+    ids: FxHashMap<Nre, u32>,
+}
+
+impl Guards {
+    fn intern(&mut self, t: &Nre) -> u32 {
+        if let Some(&gi) = self.ids.get(t) {
+            return gi;
+        }
+        let gi = self.list.len() as u32;
+        self.list.push(t.clone());
+        self.ids.insert(t.clone(), gi);
+        gi
+    }
 }
 
 /// Thompson-style builder with explicit ε-edges, eliminated at the end.
-#[derive(Default)]
-struct Builder {
+struct Builder<'g> {
     eps: Vec<Vec<State>>,
     trans: Vec<Vec<(Action, State)>>,
-    guards: Vec<Nre>,
-    guard_ids: FxHashMap<Nre, u32>,
+    guards: &'g mut Guards,
 }
 
-impl Builder {
+impl Builder<'_> {
     fn add_state(&mut self) -> State {
         let id = self.eps.len() as State;
         self.eps.push(Vec::new());
@@ -140,15 +169,7 @@ impl Builder {
                 (s, f)
             }
             Nre::Test(x) => {
-                let gi = match self.guard_ids.get(x.as_ref()) {
-                    Some(&gi) => gi,
-                    None => {
-                        let gi = self.guards.len() as u32;
-                        self.guards.push((**x).clone());
-                        self.guard_ids.insert((**x).clone(), gi);
-                        gi
-                    }
-                };
+                let gi = self.guards.intern(x);
                 let (s, f) = (self.add_state(), self.add_state());
                 self.trans[s as usize].push((Action::Guard(gi), f));
                 (s, f)
@@ -175,9 +196,14 @@ impl Builder {
 }
 
 impl GuardedNfa {
-    /// Compiles `r`, failing when the automaton exceeds [`MAX_STATES`].
-    fn compile(r: &Nre) -> Result<GuardedNfa> {
-        let mut b = Builder::default();
+    /// Compiles `r`, interning its nesting tests into `guards`; fails
+    /// when the automaton exceeds [`MAX_STATES`].
+    fn compile(r: &Nre, guards: &mut Guards) -> Result<GuardedNfa> {
+        let mut b = Builder {
+            eps: Vec::new(),
+            trans: Vec::new(),
+            guards,
+        };
         let (start, accept) = b.build(r);
         let n = b.eps.len();
         if n > MAX_STATES {
@@ -207,13 +233,12 @@ impl GuardedNfa {
             start: b.closure(start),
             accept: accept_flags,
             trans,
-            guards: b.guards,
         })
     }
 }
 
-/// Work counters of a [`DemandEvaluator`] — cumulative across calls.
-#[derive(Debug, Clone, Copy, Default)]
+/// Work counters of one [`DemandScratch`] — cumulative across calls.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DemandStats {
     /// `(node, state)` product pairs expanded by BFS.
     pub visited: usize,
@@ -221,6 +246,14 @@ pub struct DemandStats {
     pub bfs_runs: usize,
     /// Guard-predicate decisions requested (memoized hits included).
     pub guard_checks: usize,
+}
+
+impl std::ops::AddAssign for DemandStats {
+    fn add_assign(&mut self, other: DemandStats) {
+        self.visited += other.visited;
+        self.bfs_runs += other.bfs_runs;
+        self.guard_checks += other.guard_checks;
+    }
 }
 
 impl DemandStats {
@@ -275,32 +308,48 @@ enum BfsStop {
     Node(NodeId),
 }
 
-/// A compiled, memoizing demand evaluator for one NRE.
+/// The compiled, immutable half of demand evaluation for one NRE.
 ///
-/// Holds the forward automaton of `r` and the automaton of `rev(r)` for
-/// backward runs, plus per-node memo tables for images, preimages and
-/// guard decisions. Memos are pinned to one graph value via
-/// [`Graph::id`]; handing the evaluator a different graph (clone,
-/// quotient) resets them transparently. Guard predicates recurse into
-/// nested [`DemandEvaluator`]s, one per distinct test subexpression.
+/// Holds the forward automaton of `r`, the automaton of `rev(r)` for
+/// backward runs, and the compiled automata of every distinct nesting
+/// test (shared by both directions — guards are node predicates). It is
+/// `Send + Sync` and cheap to clone, so one compiled set serves any
+/// number of threads; every probe takes the mutable half, a
+/// [`DemandScratch`], from its caller.
 ///
 /// ```
 /// use gdx_graph::Graph;
 /// use gdx_nre::parse::parse_nre;
-/// use gdx_nre::demand::DemandEvaluator;
+/// use gdx_nre::demand::{DemandAutomata, DemandScratch};
 /// let g = Graph::parse("(a, f, b); (b, f, c);").unwrap();
-/// let mut ev = DemandEvaluator::try_new(&parse_nre("f.f").unwrap()).unwrap();
+/// let auto = DemandAutomata::compile(&parse_nre("f.f").unwrap()).unwrap();
+/// let mut scratch = DemandScratch::default();
 /// let a = g.node_id(gdx_graph::Node::cst("a")).unwrap();
 /// let c = g.node_id(gdx_graph::Node::cst("c")).unwrap();
-/// assert_eq!(ev.image(&g, a), &[c]);
+/// assert_eq!(auto.image(&mut scratch, &g, a), &[c]);
 /// ```
-#[derive(Debug)]
-pub struct DemandEvaluator {
+#[derive(Debug, Clone)]
+pub struct DemandAutomata {
     fwd: Arc<GuardedNfa>,
     bwd: Arc<GuardedNfa>,
-    /// The graph *version* the memos are valid for: value identity plus
-    /// epoch. Chase engines grow one graph value in place; growth adds
-    /// reachable pairs, so memos from an older epoch would under-report.
+    /// Automata of the nesting-test subexpressions, indexed by
+    /// [`Action::Guard`].
+    guards: Arc<[DemandAutomata]>,
+}
+
+/// The mutable half of demand evaluation: everything one probe sequence
+/// writes. Pair each scratch with one [`DemandAutomata`] for its whole
+/// life — the memos are answers of that automaton.
+///
+/// Memos are pinned to one graph *version* (value identity plus epoch);
+/// probing a different graph, or the same graph after it grew, resets
+/// them transparently. Work counters ([`DemandScratch::stats`]) survive
+/// resets.
+#[derive(Debug, Default)]
+pub struct DemandScratch {
+    /// The graph version the memos are valid for. Chase engines grow one
+    /// graph value in place; growth adds reachable pairs, so memos from
+    /// an older epoch would under-report.
     graph: Option<(GraphId, gdx_graph::Epoch)>,
     /// CSR snapshot of the pinned graph version: once present, the
     /// product-BFS reads adjacency from here (two array lookups per
@@ -311,7 +360,7 @@ pub struct DemandEvaluator {
     /// mutable index, exactly as cheaply as before — while read-heavy
     /// phases (certain sweeps, solution checks against a settled graph)
     /// freeze once and amortize it over every subsequent probe. The
-    /// snapshot itself is memoized on the graph, so all evaluators
+    /// snapshot itself is memoized on the graph, so all scratches
     /// probing one version share a single rebuild.
     frozen: Option<Arc<FrozenGraph>>,
     /// BFS runs since the last version change — the lazy-freeze trigger.
@@ -332,9 +381,9 @@ pub struct DemandEvaluator {
     /// target-early-exited runs are not full images, so they memoize here
     /// instead of in `fwd_images`.
     pair_memo: FxHashMap<u64, bool>,
-    /// Recursive evaluators for test subexpressions, shared between the
-    /// forward and backward automata (guards are direction-independent).
-    guard_evals: FxHashMap<Nre, Box<DemandEvaluator>>,
+    /// Scratch of the guard automata, aligned with
+    /// [`DemandAutomata::guards`]; sized on the first guard check.
+    guards: Vec<DemandScratch>,
     stats: DemandStats,
 }
 
@@ -343,39 +392,7 @@ fn pack(node: NodeId, state: State) -> u64 {
     (u64::from(node) << 32) | u64::from(state)
 }
 
-impl DemandEvaluator {
-    /// Compiles an evaluator for `r`. Errors when the expression — or any
-    /// of its nesting-test subexpressions, whose sub-evaluators are built
-    /// eagerly here — falls outside the supported fragment
-    /// ([`MAX_STATES`]); callers then fall back to the materializing
-    /// evaluator instead of discovering an uncompilable guard mid-run.
-    pub fn try_new(r: &Nre) -> Result<DemandEvaluator> {
-        let fwd = Arc::new(GuardedNfa::compile(r)?);
-        let bwd = Arc::new(GuardedNfa::compile(&r.reversed())?);
-        let mut guard_evals: FxHashMap<Nre, Box<DemandEvaluator>> = FxHashMap::default();
-        for guard in fwd.guards.iter().chain(&bwd.guards) {
-            if !guard_evals.contains_key(guard) {
-                guard_evals.insert(guard.clone(), Box::new(DemandEvaluator::try_new(guard)?));
-            }
-        }
-        Ok(DemandEvaluator {
-            fwd,
-            bwd,
-            graph: None,
-            frozen: None,
-            probes_in_version: 0,
-            visited: ScratchBits::new(),
-            out_seen: ScratchBits::new(),
-            queue: VecDeque::new(),
-            fwd_images: FxHashMap::default(),
-            bwd_images: FxHashMap::default(),
-            nonempty: FxHashMap::default(),
-            pair_memo: FxHashMap::default(),
-            guard_evals,
-            stats: DemandStats::default(),
-        })
-    }
-
+impl DemandScratch {
     /// Cumulative work counters (survive graph resets).
     pub fn stats(&self) -> DemandStats {
         self.stats
@@ -383,7 +400,7 @@ impl DemandEvaluator {
 
     /// Drops memos when the graph value — or its epoch — changed since
     /// the last call. The frozen snapshot is dropped too but *not*
-    /// rebuilt here: [`DemandEvaluator::bfs`] re-freezes only once the
+    /// rebuilt here: [`DemandAutomata::bfs`] re-freezes only once the
     /// version proves read-heavy (see the `frozen` field docs).
     fn sync(&mut self, graph: &Graph) {
         let version = (graph.id(), graph.epoch());
@@ -397,71 +414,106 @@ impl DemandEvaluator {
             self.graph = Some(version);
         }
     }
+}
 
-    /// `{v | (u, v) ∈ ⟦r⟧_G}`, memoized per `u`.
-    pub fn image(&mut self, graph: &Graph, u: NodeId) -> &[NodeId] {
-        self.sync(graph);
-        if !self.fwd_images.contains_key(&u) {
-            let list = self.bfs(graph, Dir::Fwd, u, BfsStop::Exhaust);
-            self.fwd_images.insert(u, list);
+impl DemandAutomata {
+    /// Compiles the automata for `r`. Errors when the expression — or any
+    /// of its nesting-test subexpressions, compiled eagerly here — falls
+    /// outside the supported fragment ([`MAX_STATES`]); callers then fall
+    /// back to the materializing evaluator instead of discovering an
+    /// uncompilable guard mid-run.
+    pub fn compile(r: &Nre) -> Result<DemandAutomata> {
+        let mut guards = Guards::default();
+        let fwd = Arc::new(GuardedNfa::compile(r, &mut guards)?);
+        let bwd = Arc::new(GuardedNfa::compile(&r.reversed(), &mut guards)?);
+        let guards = guards
+            .list
+            .iter()
+            .map(DemandAutomata::compile)
+            .collect::<Result<Arc<[DemandAutomata]>>>()?;
+        Ok(DemandAutomata { fwd, bwd, guards })
+    }
+
+    /// `{v | (u, v) ∈ ⟦r⟧_G}`, memoized per `u` in `scratch`.
+    pub fn image<'s>(
+        &self,
+        scratch: &'s mut DemandScratch,
+        graph: &Graph,
+        u: NodeId,
+    ) -> &'s [NodeId] {
+        scratch.sync(graph);
+        if !scratch.fwd_images.contains_key(&u) {
+            let list = self.bfs(scratch, graph, Dir::Fwd, u, BfsStop::Exhaust);
+            scratch.fwd_images.insert(u, list);
         }
-        &self.fwd_images[&u]
+        &scratch.fwd_images[&u]
     }
 
     /// `{u | (u, v) ∈ ⟦r⟧_G}`, memoized per `v` (backward product run).
-    pub fn preimage(&mut self, graph: &Graph, v: NodeId) -> &[NodeId] {
-        self.sync(graph);
-        if !self.bwd_images.contains_key(&v) {
-            let list = self.bfs(graph, Dir::Bwd, v, BfsStop::Exhaust);
-            self.bwd_images.insert(v, list);
+    pub fn preimage<'s>(
+        &self,
+        scratch: &'s mut DemandScratch,
+        graph: &Graph,
+        v: NodeId,
+    ) -> &'s [NodeId] {
+        scratch.sync(graph);
+        if !scratch.bwd_images.contains_key(&v) {
+            let list = self.bfs(scratch, graph, Dir::Bwd, v, BfsStop::Exhaust);
+            scratch.bwd_images.insert(v, list);
         }
-        &self.bwd_images[&v]
+        &scratch.bwd_images[&v]
     }
 
     /// Does `(u, v) ∈ ⟦r⟧_G` hold? Uses whichever memo already exists;
     /// otherwise runs a forward BFS that stops as soon as `v` is reached
     /// in an accepting state — the constant-tuple probe shape never pays
     /// for the full image.
-    pub fn contains(&mut self, graph: &Graph, u: NodeId, v: NodeId) -> bool {
-        self.sync(graph);
-        if let Some(list) = self.fwd_images.get(&u) {
+    pub fn contains(
+        &self,
+        scratch: &mut DemandScratch,
+        graph: &Graph,
+        u: NodeId,
+        v: NodeId,
+    ) -> bool {
+        scratch.sync(graph);
+        if let Some(list) = scratch.fwd_images.get(&u) {
             return list.contains(&v);
         }
-        if let Some(list) = self.bwd_images.get(&v) {
+        if let Some(list) = scratch.bwd_images.get(&v) {
             return list.contains(&u);
         }
         let key = pack(u, v);
-        if let Some(&b) = self.pair_memo.get(&key) {
+        if let Some(&b) = scratch.pair_memo.get(&key) {
             return b;
         }
-        let out = self.bfs(graph, Dir::Fwd, u, BfsStop::Node(v));
+        let out = self.bfs(scratch, graph, Dir::Fwd, u, BfsStop::Node(v));
         let found = out.contains(&v);
         if found {
-            self.pair_memo.insert(key, true);
+            scratch.pair_memo.insert(key, true);
         } else {
             // The target was never reached, so the BFS ran to exhaustion
             // and `out` is the complete image of `u` — memoize it so
             // further probes from `u` are lookups, not re-runs.
-            self.fwd_images.insert(u, out);
+            scratch.fwd_images.insert(u, out);
         }
         found
     }
 
     /// Does *some* `v` with `(u, v) ∈ ⟦r⟧_G` exist? Early-exits the BFS
     /// at the first accepting pair; the guard checks of enclosing
-    /// evaluators run through this.
-    pub fn has_any_successor(&mut self, graph: &Graph, u: NodeId) -> bool {
-        self.sync(graph);
-        if let Some(list) = self.fwd_images.get(&u) {
+    /// automata run through this.
+    pub fn has_any_successor(&self, scratch: &mut DemandScratch, graph: &Graph, u: NodeId) -> bool {
+        scratch.sync(graph);
+        if let Some(list) = scratch.fwd_images.get(&u) {
             return !list.is_empty();
         }
-        if let Some(&b) = self.nonempty.get(&u) {
+        if let Some(&b) = scratch.nonempty.get(&u) {
             return b;
         }
         let found = !self
-            .bfs(graph, Dir::Fwd, u, BfsStop::FirstAccept)
+            .bfs(scratch, graph, Dir::Fwd, u, BfsStop::FirstAccept)
             .is_empty();
-        self.nonempty.insert(u, found);
+        scratch.nonempty.insert(u, found);
         found
     }
 
@@ -475,24 +527,31 @@ impl DemandEvaluator {
     /// reads per step; the first run reads the mutable index so
     /// fire-probe-fire chase loops never rebuild snapshots). The visited
     /// and accept sets are dense bitsets over `(node, state)` and
-    /// `node`, taken out of `self` for the duration of the run (guard
-    /// checks re-borrow `self` mutably) and restored afterwards for
+    /// `node`, taken out of the scratch for the duration of the run
+    /// (guard checks re-borrow it mutably) and restored afterwards for
     /// reuse.
-    fn bfs(&mut self, graph: &Graph, dir: Dir, src: NodeId, stop: BfsStop) -> Vec<NodeId> {
+    fn bfs(
+        &self,
+        scratch: &mut DemandScratch,
+        graph: &Graph,
+        dir: Dir,
+        src: NodeId,
+        stop: BfsStop,
+    ) -> Vec<NodeId> {
         let auto = match dir {
-            Dir::Fwd => Arc::clone(&self.fwd),
-            Dir::Bwd => Arc::clone(&self.bwd),
+            Dir::Fwd => &self.fwd,
+            Dir::Bwd => &self.bwd,
         };
-        self.probes_in_version += 1;
-        if self.frozen.is_none() && self.probes_in_version >= 2 {
-            self.frozen = Some(graph.freeze());
+        scratch.probes_in_version += 1;
+        if scratch.frozen.is_none() && scratch.probes_in_version >= 2 {
+            scratch.frozen = Some(graph.freeze());
         }
-        let frozen = self.frozen.clone();
-        self.stats.bfs_runs += 1;
+        let frozen = scratch.frozen.clone();
+        scratch.stats.bfs_runs += 1;
         let states = auto.trans.len();
-        let mut visited = std::mem::take(&mut self.visited);
-        let mut out_seen = std::mem::take(&mut self.out_seen);
-        let mut queue = std::mem::take(&mut self.queue);
+        let mut visited = std::mem::take(&mut scratch.visited);
+        let mut out_seen = std::mem::take(&mut scratch.out_seen);
+        let mut queue = std::mem::take(&mut scratch.queue);
         visited.reset();
         out_seen.reset();
         queue.clear();
@@ -507,7 +566,7 @@ impl DemandEvaluator {
         // reaches a target at graph distance d before touching anything at
         // distance d+1, so `FirstAccept`/`Node` probes stay local.
         'run: while let Some((u, q)) = queue.pop_front() {
-            self.stats.visited += 1;
+            scratch.stats.visited += 1;
             if auto.accept[q as usize] && out_seen.insert(u as usize) {
                 out.push(u);
                 match stop {
@@ -545,7 +604,7 @@ impl DemandEvaluator {
                         }
                     }
                     Action::Guard(gi) => {
-                        if self.guard_holds(graph, &auto.guards[gi as usize], u) {
+                        if self.guard_holds(scratch, graph, gi as usize, u) {
                             for &q2 in targets {
                                 if visited.insert(idx(u, q2)) {
                                     queue.push_back((u, q2));
@@ -556,89 +615,36 @@ impl DemandEvaluator {
                 }
             }
         }
-        self.visited = visited;
-        self.out_seen = out_seen;
-        self.queue = queue;
+        scratch.visited = visited;
+        scratch.out_seen = out_seen;
+        scratch.queue = queue;
         out
     }
 
-    /// Decides the guard `[t]` at node `u` by seeded sub-evaluation of
-    /// `t` from exactly `u`, through the nested evaluator compiled
-    /// eagerly by [`DemandEvaluator::try_new`].
-    // `try_new` compiles an evaluator for every guard of the expression
-    // before any query runs; a miss here is a construction bug.
-    #[allow(clippy::expect_used)]
-    fn guard_holds(&mut self, graph: &Graph, guard: &Nre, u: NodeId) -> bool {
-        self.stats.guard_checks += 1;
-        let sub = self
-            .guard_evals
-            .get_mut(guard)
-            .expect("every guard is compiled at construction");
+    /// Decides guard `gi` at node `u` by seeded sub-evaluation of the
+    /// test from exactly `u`, through the guard's compiled automata and
+    /// its own nested scratch.
+    fn guard_holds(
+        &self,
+        scratch: &mut DemandScratch,
+        graph: &Graph,
+        gi: usize,
+        u: NodeId,
+    ) -> bool {
+        scratch.stats.guard_checks += 1;
+        if scratch.guards.len() < self.guards.len() {
+            scratch
+                .guards
+                .resize_with(self.guards.len(), DemandScratch::default);
+        }
+        let sub = &mut scratch.guards[gi];
         let before = sub.stats.visited;
-        let held = sub.has_any_successor(graph, u);
-        // Fold the nested run's work into this evaluator's counters so
+        let held = self.guards[gi].has_any_successor(sub, graph, u);
+        // Fold the nested run's work into this scratch's counters so
         // regression tests see the full cost of a seeded evaluation.
         let delta = sub.stats.visited - before;
-        self.stats.visited += delta;
+        scratch.stats.visited += delta;
         held
-    }
-}
-
-/// A pool of compiled [`DemandEvaluator`]s keyed by NRE — the demand-side
-/// companion of the materializing caches ([`crate::eval::EvalCache`],
-/// [`crate::incremental::IncrementalCache`]). Compile failures (outside
-/// the supported fragment) are memoized as `None`, so the planner's
-/// fallback to materialization costs one lookup.
-///
-/// Evaluators sit behind `RefCell` so that several atoms of one query can
-/// hold the pool by shared reference while borrowing their (possibly
-/// shared) evaluator mutably one probe at a time.
-#[derive(Debug, Default)]
-pub struct DemandPool {
-    evals: FxHashMap<Nre, Option<Box<std::cell::RefCell<DemandEvaluator>>>>,
-}
-
-impl DemandPool {
-    /// An empty pool.
-    pub fn new() -> DemandPool {
-        DemandPool::default()
-    }
-
-    /// Compiles (or finds) the evaluator for `r`; `false` when `r` is
-    /// outside the supported fragment.
-    pub fn ensure(&mut self, r: &Nre) -> bool {
-        self.evals
-            .entry(r.clone())
-            .or_insert_with(|| {
-                DemandEvaluator::try_new(r)
-                    .ok()
-                    .map(|e| Box::new(std::cell::RefCell::new(e)))
-            })
-            .is_some()
-    }
-
-    /// A pool pre-compiled for every expression in `exprs` — the
-    /// construction path of prepared queries, which pay the automaton
-    /// compilation once and reuse the pool across graphs and epochs
-    /// (each evaluator re-pins its memo to the `(GraphId, Epoch)` it is
-    /// probed against).
-    pub fn prepared<'a>(exprs: impl IntoIterator<Item = &'a Nre>) -> DemandPool {
-        let mut pool = DemandPool::new();
-        for r in exprs {
-            pool.ensure(r);
-        }
-        pool
-    }
-
-    /// The compiled evaluator, if [`DemandPool::ensure`] succeeded for `r`.
-    pub fn get(&self, r: &Nre) -> Option<&std::cell::RefCell<DemandEvaluator>> {
-        self.evals.get(r).and_then(|e| e.as_deref())
-    }
-
-    /// Whether `r` was seen by [`DemandPool::ensure`] and compiled
-    /// successfully — a lookup, never a compilation.
-    pub fn compiled(&self, r: &Nre) -> bool {
-        self.evals.get(r).is_some_and(Option::is_some)
     }
 }
 
@@ -647,11 +653,12 @@ impl DemandPool {
 /// the sources only. Falls back to the materializing evaluator when `r`
 /// is outside the supported fragment.
 pub fn eval_from(graph: &Graph, r: &Nre, sources: &[NodeId]) -> BinRel {
-    match DemandEvaluator::try_new(r) {
-        Ok(mut ev) => {
+    match DemandAutomata::compile(r) {
+        Ok(auto) => {
+            let mut scratch = DemandScratch::default();
             let mut out = BinRel::new();
             for &u in sources {
-                for &v in ev.image(graph, u) {
+                for &v in auto.image(&mut scratch, graph, u) {
                     out.insert(u, v);
                 }
             }
@@ -675,11 +682,12 @@ pub fn eval_from(graph: &Graph, r: &Nre, sources: &[NodeId]) -> BinRel {
 /// `{(u, v) | v ∈ targets, (u, v) ∈ ⟦r⟧_G}`, computed by backward
 /// product-BFS from the targets only.
 pub fn eval_into(graph: &Graph, r: &Nre, targets: &[NodeId]) -> BinRel {
-    match DemandEvaluator::try_new(r) {
-        Ok(mut ev) => {
+    match DemandAutomata::compile(r) {
+        Ok(auto) => {
+            let mut scratch = DemandScratch::default();
             let mut out = BinRel::new();
             for &v in targets {
-                for &u in ev.preimage(graph, v) {
+                for &u in auto.preimage(&mut scratch, graph, v) {
                     out.insert(u, v);
                 }
             }
@@ -767,9 +775,10 @@ mod tests {
             g.add_edge_labelled(w[0], "f", w[1]);
         }
         let r = parse_nre("f.f").unwrap();
-        let mut ev = DemandEvaluator::try_new(&r).unwrap();
-        assert_eq!(ev.image(&g, ids[0]), &[ids[2]]);
-        let visited = ev.stats().visited;
+        let auto = DemandAutomata::compile(&r).unwrap();
+        let mut s = DemandScratch::default();
+        assert_eq!(auto.image(&mut s, &g, ids[0]), &[ids[2]]);
+        let visited = s.stats().visited;
         assert!(
             visited <= 16,
             "two-hop probe must stay local, visited {visited}"
@@ -780,17 +789,18 @@ mod tests {
     fn memoization_and_graph_reset() {
         let g = Graph::parse("(a, f, b); (b, f, c);").unwrap();
         let r = parse_nre("f*").unwrap();
-        let mut ev = DemandEvaluator::try_new(&r).unwrap();
+        let auto = DemandAutomata::compile(&r).unwrap();
+        let mut s = DemandScratch::default();
         let a = id(&g, "a");
-        let first = ev.image(&g, a).to_vec();
-        let runs = ev.stats().bfs_runs;
-        let again = ev.image(&g, a).to_vec();
+        let first = auto.image(&mut s, &g, a).to_vec();
+        let runs = s.stats().bfs_runs;
+        let again = auto.image(&mut s, &g, a).to_vec();
         assert_eq!(first, again);
-        assert_eq!(ev.stats().bfs_runs, runs, "memoized: no second run");
+        assert_eq!(s.stats().bfs_runs, runs, "memoized: no second run");
         // A clone is a different graph value: memos reset.
         let g2 = g.clone();
-        let _ = ev.image(&g2, a);
-        assert_eq!(ev.stats().bfs_runs, runs + 1);
+        let _ = auto.image(&mut s, &g2, a);
+        assert_eq!(s.stats().bfs_runs, runs + 1);
     }
 
     #[test]
@@ -799,24 +809,26 @@ mod tests {
         // epoch must not under-report the new witnesses.
         let mut g = Graph::parse("(a, f, b);").unwrap();
         let r = parse_nre("f.f").unwrap();
-        let mut ev = DemandEvaluator::try_new(&r).unwrap();
+        let auto = DemandAutomata::compile(&r).unwrap();
+        let mut s = DemandScratch::default();
         let a = id(&g, "a");
-        assert!(ev.image(&g, a).is_empty());
+        assert!(auto.image(&mut s, &g, a).is_empty());
         let b = id(&g, "b");
         let c = g.add_const("c");
         g.add_edge_labelled(b, "f", c);
-        assert_eq!(ev.image(&g, a), &[c]);
+        assert_eq!(auto.image(&mut s, &g, a), &[c]);
     }
 
     #[test]
     fn contains_and_existence_probes() {
         let g = Graph::parse("(a, f, b); (b, h, x);").unwrap();
         let r = parse_nre("f.[h]").unwrap();
-        let mut ev = DemandEvaluator::try_new(&r).unwrap();
-        assert!(ev.contains(&g, id(&g, "a"), id(&g, "b")));
-        assert!(!ev.contains(&g, id(&g, "b"), id(&g, "a")));
-        assert!(ev.has_any_successor(&g, id(&g, "a")));
-        assert!(!ev.has_any_successor(&g, id(&g, "x")));
+        let auto = DemandAutomata::compile(&r).unwrap();
+        let mut s = DemandScratch::default();
+        assert!(auto.contains(&mut s, &g, id(&g, "a"), id(&g, "b")));
+        assert!(!auto.contains(&mut s, &g, id(&g, "b"), id(&g, "a")));
+        assert!(auto.has_any_successor(&mut s, &g, id(&g, "a")));
+        assert!(!auto.has_any_successor(&mut s, &g, id(&g, "x")));
     }
 
     #[test]
@@ -829,17 +841,21 @@ mod tests {
             g.add_edge_labelled(w[0], "f", w[1]);
         }
         let r = parse_nre("f.f*").unwrap();
-        let mut ev = DemandEvaluator::try_new(&r).unwrap();
-        assert!(ev.contains(&g, ids[0], ids[1]));
-        let after_first = ev.stats().visited;
+        let auto = DemandAutomata::compile(&r).unwrap();
+        let mut s = DemandScratch::default();
+        assert!(auto.contains(&mut s, &g, ids[0], ids[1]));
+        let after_first = s.stats().visited;
         assert!(
             after_first < 50,
             "probe to an adjacent node explored {after_first} pairs"
         );
-        let runs = ev.stats().bfs_runs;
-        assert!(ev.contains(&g, ids[0], ids[1]));
-        assert_eq!(ev.stats().bfs_runs, runs, "second probe hits the memo");
-        assert!(!ev.contains(&g, ids[199], ids[0]), "chain is one-way");
+        let runs = s.stats().bfs_runs;
+        assert!(auto.contains(&mut s, &g, ids[0], ids[1]));
+        assert_eq!(s.stats().bfs_runs, runs, "second probe hits the memo");
+        assert!(
+            !auto.contains(&mut s, &g, ids[199], ids[0]),
+            "chain is one-way"
+        );
     }
 
     #[test]
@@ -859,7 +875,7 @@ mod tests {
             }
         }
         let big = balanced_concat(12);
-        assert!(DemandEvaluator::try_new(&big).is_err());
+        assert!(DemandAutomata::compile(&big).is_err());
         let g = Graph::parse("(a, f, a); (b, g, a);").unwrap();
         let a = id(&g, "a");
         let from = eval_from(&g, &big, &[a]);
@@ -873,7 +889,7 @@ mod tests {
         // construction time too (the outer automaton alone is tiny), so
         // the fallback fires instead of a mid-run guard failure.
         let guarded = Nre::Test(Box::new(big));
-        assert!(DemandEvaluator::try_new(&guarded).is_err());
+        assert!(DemandAutomata::compile(&guarded).is_err());
         let from = eval_from(&g, &guarded, &[a]);
         assert_eq!(from.len(), 1, "[f^4096] holds at the self-loop node");
         assert!(from.contains(a, a));
@@ -893,9 +909,10 @@ mod tests {
     #[test]
     fn demand_stats_bridge_and_json() {
         let g = Graph::parse("(a, f, b); (b, f, c);").unwrap();
-        let mut ev = DemandEvaluator::try_new(&parse_nre("f.f").unwrap()).unwrap();
-        let _ = ev.image(&g, id(&g, "a"));
-        let stats = ev.stats();
+        let auto = DemandAutomata::compile(&parse_nre("f.f").unwrap()).unwrap();
+        let mut s = DemandScratch::default();
+        let _ = auto.image(&mut s, &g, id(&g, "a"));
+        let stats = s.stats();
         assert!(stats.bfs_runs >= 1);
         let obs = gdx_obs::Obs::enabled();
         stats.record_into(&obs);

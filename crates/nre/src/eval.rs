@@ -534,17 +534,13 @@ pub fn holds(graph: &Graph, r: &Nre, u: NodeId, v: NodeId) -> bool {
     eval_from(graph, r, u).contains(&v)
 }
 
-/// Evaluates `⟦r⟧_G` restricted to pairs of *labeled* interest — all pairs,
-/// but reported per label symbol used. Helper for query planners that cache
-/// per-NRE relations. Carries a [`DemandPool`] so the access-path planner
-/// can mix materialized relations with seeded product-BFS evaluators over
-/// one cache.
-///
-/// [`DemandPool`]: crate::demand::DemandPool
+/// Materialized relations of one graph, memoized per NRE — the
+/// materializing access path's cache. It holds relations only: compiled
+/// demand automata and their scratch belong to the prepared query that
+/// probes them.
 #[derive(Debug, Default)]
 pub struct EvalCache {
     cache: FxHashMap<Nre, BinRel>,
-    demand: crate::demand::DemandPool,
 }
 
 impl EvalCache {
@@ -583,20 +579,6 @@ impl EvalCache {
     /// ran for `r`.
     pub fn get(&self, r: &Nre) -> Option<&BinRel> {
         self.cache.get(r)
-    }
-
-    /// Compiles (or finds) a demand evaluator for `r`; `false` when `r`
-    /// falls outside the demand-evaluable fragment.
-    pub fn demand_ensure(&mut self, r: &Nre) -> bool {
-        self.demand.ensure(r)
-    }
-
-    /// The demand evaluator, if [`EvalCache::demand_ensure`] succeeded.
-    pub fn demand_get(
-        &self,
-        r: &Nre,
-    ) -> Option<&std::cell::RefCell<crate::demand::DemandEvaluator>> {
-        self.demand.get(r)
     }
 }
 
@@ -762,18 +744,19 @@ mod tests {
 
     #[test]
     fn caches_are_send_for_per_worker_scratch() {
-        // The PR-4 interior-mutability audit in type form: scratch caches
-        // (and the demand evaluators inside them, whose guard automata
-        // are Arc-shared) move *into* runtime workers, so they must be
-        // `Send`; they deliberately stay `!Sync` (RefCell demand pools),
-        // which is what forces the per-worker-scratch pattern at compile
-        // time. Graphs and relations are shared read-only across workers
-        // and must be `Sync`.
+        // The interior-mutability audit in type form. Per-graph caches and
+        // demand scratch move *into* runtime workers, so they must be
+        // `Send`. Compiled demand automata are immutable and `Sync`: one
+        // compilation is shared by every worker, and each worker probes
+        // it through a scratch it owns for the duration of one
+        // evaluation. Graphs and relations are shared read-only across
+        // workers and must be `Sync`.
         fn is_send<T: Send>() {}
         fn is_sync<T: Sync>() {}
         is_send::<EvalCache>();
-        is_send::<crate::demand::DemandEvaluator>();
+        is_send::<crate::demand::DemandScratch>();
         is_send::<crate::IncrementalCache>();
+        is_sync::<crate::demand::DemandAutomata>();
         is_sync::<Graph>();
         is_sync::<BinRel>();
     }

@@ -87,14 +87,13 @@ impl EvalMark {
     }
 }
 
-/// Persistent, per-subexpression incremental evaluation cache. Carries a
-/// [`DemandPool`](crate::demand::DemandPool) so planned evaluation can mix
-/// incrementally materialized relations with seeded product-BFS.
+/// Persistent, per-subexpression incremental evaluation cache. It holds
+/// materialized relations only; planned evaluation mixes them with the
+/// prepared query's own demand automata.
 #[derive(Debug, Default)]
 pub struct IncrementalCache {
     graph: Option<GraphId>,
     entries: FxHashMap<Nre, Entry>,
-    demand: crate::demand::DemandPool,
 }
 
 impl IncrementalCache {
@@ -131,22 +130,6 @@ impl IncrementalCache {
     /// against the current graph.
     pub fn get(&self, r: &Nre) -> Option<&BinRel> {
         self.entries.get(r).map(|e| &e.rel)
-    }
-
-    /// Compiles (or finds) a demand evaluator for `r`; `false` when `r`
-    /// falls outside the demand-evaluable fragment. (Demand evaluators pin
-    /// their memos to the graph value themselves.)
-    pub fn demand_ensure(&mut self, r: &Nre) -> bool {
-        self.demand.ensure(r)
-    }
-
-    /// The demand evaluator, if [`IncrementalCache::demand_ensure`]
-    /// succeeded.
-    pub fn demand_get(
-        &self,
-        r: &Nre,
-    ) -> Option<&std::cell::RefCell<crate::demand::DemandEvaluator>> {
-        self.demand.get(r)
     }
 
     /// Recursively advances the entry for `r` to the graph's epoch.

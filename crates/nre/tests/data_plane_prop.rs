@@ -15,7 +15,7 @@
 use gdx_common::{FxHashMap, FxHashSet};
 use gdx_graph::{Graph, NodeId};
 use gdx_nre::ast::Nre;
-use gdx_nre::demand::DemandEvaluator;
+use gdx_nre::demand::{DemandAutomata, DemandScratch};
 use gdx_nre::eval::eval;
 use gdx_nre::BinRel;
 use proptest::prelude::*;
@@ -170,26 +170,27 @@ proptest! {
     #[test]
     fn bitset_demand_probes_match_naive(r in arb_nre(), g in arb_graph()) {
         let full = eval(&g, &r);
-        let Ok(mut ev) = DemandEvaluator::try_new(&r) else {
+        let Ok(auto) = DemandAutomata::compile(&r) else {
             // Outside the compiled fragment (cannot happen at this size,
             // but the fallback is not what this test pins).
             return Ok(());
         };
+        let mut s = DemandScratch::default();
         for u in g.node_ids() {
-            let image: FxHashSet<NodeId> = ev.image(&g, u).iter().copied().collect();
+            let image: FxHashSet<NodeId> = auto.image(&mut s, &g, u).iter().copied().collect();
             let expect: FxHashSet<NodeId> =
                 full.iter().filter(|&(s, _)| s == u).map(|(_, v)| v).collect();
             prop_assert_eq!(&image, &expect, "image {}", u);
-            let pre: FxHashSet<NodeId> = ev.preimage(&g, u).iter().copied().collect();
+            let pre: FxHashSet<NodeId> = auto.preimage(&mut s, &g, u).iter().copied().collect();
             let expect: FxHashSet<NodeId> =
                 full.iter().filter(|&(_, d)| d == u).map(|(s, _)| s).collect();
             prop_assert_eq!(&pre, &expect, "preimage {}", u);
         }
-        // Membership probes through a fresh evaluator (no warm memos).
-        let mut cold = DemandEvaluator::try_new(&r).expect("compiled above");
+        // Membership probes through a fresh scratch (no warm memos).
+        let mut cold = DemandScratch::default();
         for u in g.node_ids() {
             for v in g.node_ids() {
-                prop_assert_eq!(cold.contains(&g, u, v), full.contains(u, v), "({}, {})", u, v);
+                prop_assert_eq!(auto.contains(&mut cold, &g, u, v), full.contains(u, v), "({}, {})", u, v);
             }
         }
     }

@@ -230,19 +230,20 @@ proptest! {
         prop_assert_eq!(&got_into, &expected_into, "eval_into diverged for {}", r);
     }
 
-    /// A memoizing [`DemandEvaluator`] answers image/preimage/contains
-    /// queries consistently with the naive relation, across repeated and
-    /// interleaved probes.
+    /// Compiled demand automata probed through one memoizing scratch
+    /// answer image/preimage/contains queries consistently with the naive
+    /// relation, across repeated and interleaved probes.
     #[test]
     fn demand_evaluator_probes_agree(r in arb_nre(), g in arb_graph()) {
-        use gdx_nre::demand::DemandEvaluator;
-        let Ok(mut ev) = DemandEvaluator::try_new(&r) else {
+        use gdx_nre::demand::{DemandAutomata, DemandScratch};
+        let Ok(auto) = DemandAutomata::compile(&r) else {
             return Ok(()); // outside the supported fragment: covered above
         };
+        let mut s = DemandScratch::default();
         let full = eval(&g, &r);
         for u in g.node_ids() {
             let img: std::collections::BTreeSet<NodeId> =
-                ev.image(&g, u).iter().copied().collect();
+                auto.image(&mut s, &g, u).iter().copied().collect();
             let expect: std::collections::BTreeSet<NodeId> = full
                 .iter()
                 .filter(|&(s, _)| s == u)
@@ -250,7 +251,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(&img, &expect, "image({}) for {}", u, r);
             let pre: std::collections::BTreeSet<NodeId> =
-                ev.preimage(&g, u).iter().copied().collect();
+                auto.preimage(&mut s, &g, u).iter().copied().collect();
             let expect_pre: std::collections::BTreeSet<NodeId> = full
                 .iter()
                 .filter(|&(_, d)| d == u)
@@ -259,7 +260,7 @@ proptest! {
             prop_assert_eq!(&pre, &expect_pre, "preimage({}) for {}", u, r);
         }
         for (u, v) in full.iter() {
-            prop_assert!(ev.contains(&g, u, v));
+            prop_assert!(auto.contains(&mut s, &g, u, v));
         }
     }
 

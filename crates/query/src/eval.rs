@@ -2,17 +2,18 @@
 //!
 //! Evaluation is a join over per-atom *access paths*: each atom is served
 //! either by a materialized [`BinRel`] (memoized in an [`EvalCache`] or
-//! [`IncrementalCache`](gdx_nre::IncrementalCache)) or by a seeded
-//! product-BFS [`DemandEvaluator`] — chosen per query by the cost model in
-//! [`crate::plan`]. Atoms are joined in a greedy order: constants and
-//! already-bound variables first, smaller (estimated or actual) relations
-//! preferred.
+//! [`IncrementalCache`](gdx_nre::IncrementalCache)) or by seeded
+//! product-BFS over the prepared query's compiled [`DemandAutomata`] —
+//! chosen per query by the cost model in [`crate::plan`]. Atoms are joined
+//! in a greedy order: constants and already-bound variables first, smaller
+//! (estimated or actual) relations preferred. The one entry point is
+//! [`crate::PreparedQuery`].
 
 use crate::cnre::Cnre;
 use crate::plan::{plan_query, AccessChoice, PlannerMode};
 use gdx_common::{FxHashMap, FxHashSet, Result, Symbol, Term};
 use gdx_graph::{Graph, Node, NodeId};
-use gdx_nre::demand::DemandEvaluator;
+use gdx_nre::demand::{DemandAutomata, DemandScratch};
 use gdx_nre::eval::EvalCache;
 use gdx_nre::{BinRel, Nre};
 use gdx_runtime::Runtime;
@@ -215,9 +216,8 @@ impl NodeBindings {
     }
 }
 
-/// The cache interface planned evaluation draws on: materialized
-/// relations plus compiled demand evaluators. Implemented by the cold
-/// [`EvalCache`] and the epoch-advancing
+/// The materialized-relation cache planned evaluation draws on.
+/// Implemented by the cold [`EvalCache`] and the epoch-advancing
 /// [`IncrementalCache`](gdx_nre::IncrementalCache).
 pub(crate) trait RelCache {
     /// Materializes `r`. The runtime partitions expensive constructions
@@ -226,8 +226,6 @@ pub(crate) trait RelCache {
     /// way.
     fn ensure(&mut self, graph: &Graph, r: &Nre, rt: &Runtime);
     fn get(&self, r: &Nre) -> Option<&BinRel>;
-    fn demand_ensure(&mut self, r: &Nre) -> bool;
-    fn demand_get(&self, r: &Nre) -> Option<&RefCell<DemandEvaluator>>;
 }
 
 impl RelCache for EvalCache {
@@ -236,12 +234,6 @@ impl RelCache for EvalCache {
     }
     fn get(&self, r: &Nre) -> Option<&BinRel> {
         EvalCache::get(self, r)
-    }
-    fn demand_ensure(&mut self, r: &Nre) -> bool {
-        EvalCache::demand_ensure(self, r)
-    }
-    fn demand_get(&self, r: &Nre) -> Option<&RefCell<DemandEvaluator>> {
-        EvalCache::demand_get(self, r)
     }
 }
 
@@ -255,166 +247,31 @@ impl RelCache for gdx_nre::IncrementalCache {
     fn get(&self, r: &Nre) -> Option<&BinRel> {
         gdx_nre::IncrementalCache::get(self, r)
     }
-    fn demand_ensure(&mut self, r: &Nre) -> bool {
-        gdx_nre::IncrementalCache::demand_ensure(self, r)
+}
+
+/// The demand side of one planned evaluation, owned by the prepared
+/// query: the compiled automata, each atom's index into them (`None`
+/// outside the demand fragment), and the scratch set checked out for
+/// this evaluation (aligned with `automata`).
+pub(crate) struct DemandBacking<'a> {
+    pub(crate) automata: &'a [DemandAutomata],
+    pub(crate) slots: &'a [Option<usize>],
+    pub(crate) scratch: &'a [RefCell<DemandScratch>],
+}
+
+impl<'a> DemandBacking<'a> {
+    /// The demand access for atom `i`, when its NRE compiled.
+    fn access(&self, i: usize) -> Option<AtomAccess<'a>> {
+        let slot = self.slots[i]?;
+        Some(AtomAccess::Demand(
+            &self.automata[slot],
+            &self.scratch[slot],
+        ))
     }
-    fn demand_get(&self, r: &Nre) -> Option<&RefCell<DemandEvaluator>> {
-        gdx_nre::IncrementalCache::demand_get(self, r)
-    }
-}
-
-/// Evaluates `query` over `graph` with a fresh relation cache.
-#[deprecated(note = "prepare the query once with `PreparedQuery::new` and call \
-                     `PreparedQuery::evaluate`")]
-pub fn evaluate(graph: &Graph, query: &Cnre) -> Result<NodeBindings> {
-    let mut cache = EvalCache::new();
-    planned_eval(
-        graph,
-        query,
-        &mut cache,
-        &FxHashMap::default(),
-        PlannerMode::Auto,
-        None,
-        &Runtime::sequential(),
-    )
-}
-
-/// Is `query` satisfiable over `graph`? Early-exits at the first answer
-/// row; with a constants-only query this is the certain-answer probe shape
-/// (both endpoints bound), which the planner serves by seeded product-BFS
-/// instead of materializing any relation.
-#[deprecated(note = "prepare the query once with `PreparedQuery::new` and call \
-                     `PreparedQuery::evaluate_exists`")]
-pub fn evaluate_exists(graph: &Graph, query: &Cnre) -> Result<bool> {
-    let mut cache = EvalCache::new();
-    let b = planned_eval(
-        graph,
-        query,
-        &mut cache,
-        &FxHashMap::default(),
-        PlannerMode::Auto,
-        Some(1),
-        &Runtime::sequential(),
-    )?;
-    Ok(!b.is_empty())
-}
-
-/// Evaluates `query` over `graph`, reusing `cache` across calls (the chase
-/// evaluates the same constraint bodies repeatedly).
-#[deprecated(note = "prepare the query once with `PreparedQuery::new` and call \
-                     `PreparedQuery::matches`")]
-pub fn evaluate_with_cache(
-    graph: &Graph,
-    query: &Cnre,
-    cache: &mut EvalCache,
-) -> Result<NodeBindings> {
-    planned_eval(
-        graph,
-        query,
-        cache,
-        &FxHashMap::default(),
-        PlannerMode::Auto,
-        None,
-        &Runtime::sequential(),
-    )
-}
-
-/// Evaluates `query` with some variables pre-bound to graph nodes.
-///
-/// Used by the target-tgd chase to check whether a tgd head is already
-/// satisfied under a body match: frontier variables are seeded, existential
-/// variables are left free. Seeded variables appear in the output columns
-/// with their fixed values.
-#[deprecated(note = "prepare the query once with `PreparedQuery::new` and call \
-                     `PreparedQuery::evaluate_seeded`")]
-pub fn evaluate_seeded(
-    graph: &Graph,
-    query: &Cnre,
-    cache: &mut EvalCache,
-    seed: &FxHashMap<Symbol, NodeId>,
-) -> Result<NodeBindings> {
-    planned_eval(
-        graph,
-        query,
-        cache,
-        seed,
-        PlannerMode::Auto,
-        None,
-        &Runtime::sequential(),
-    )
-}
-
-/// [`evaluate_seeded`] with an explicit planner mode —
-/// [`PlannerMode::Materialize`] forces the pre-planner single-strategy
-/// behaviour (the baseline the benches and equivalence tests compare
-/// against).
-#[deprecated(note = "prepare the query once with `PreparedQuery::new` and call \
-                     `PreparedQuery::evaluate_seeded_mode`")]
-pub fn evaluate_seeded_mode(
-    graph: &Graph,
-    query: &Cnre,
-    cache: &mut EvalCache,
-    seed: &FxHashMap<Symbol, NodeId>,
-    mode: PlannerMode,
-) -> Result<NodeBindings> {
-    planned_eval(
-        graph,
-        query,
-        cache,
-        seed,
-        mode,
-        None,
-        &Runtime::sequential(),
-    )
-}
-
-/// Existence probe under a seed: early-exits at the first satisfying row.
-#[deprecated(note = "prepare the query once with `PreparedQuery::new` and call \
-                     `PreparedQuery::evaluate_seeded_exists`")]
-pub fn evaluate_seeded_exists(
-    graph: &Graph,
-    query: &Cnre,
-    cache: &mut EvalCache,
-    seed: &FxHashMap<Symbol, NodeId>,
-) -> Result<bool> {
-    Ok(!planned_eval(
-        graph,
-        query,
-        cache,
-        seed,
-        PlannerMode::Auto,
-        Some(1),
-        &Runtime::sequential(),
-    )?
-    .is_empty())
-}
-
-/// Planned evaluation against a caller-owned [`EvalCache`] — the
-/// **per-worker-scratch** entry point of the parallel layers.
-///
-/// [`crate::PreparedQuery`] carries its compiled demand pool behind a
-/// `RefCell`, so a prepared query cannot be shared across the
-/// `gdx-runtime` worker threads. Parallel consumers (the chase's
-/// speculative head pre-filter, the session's certain-answer fan-out over
-/// the solution family) instead hand every worker the plain [`Cnre`] plus
-/// that worker's own scratch cache: demand evaluators compile *into the
-/// cache* on first use and stay warm for the worker's (or the graph's)
-/// lifetime. Results are identical to the `PreparedQuery` methods — only
-/// where the compiled automata live differs.
-pub fn evaluate_with_scratch(
-    graph: &Graph,
-    query: &Cnre,
-    cache: &mut EvalCache,
-    seed: &FxHashMap<Symbol, NodeId>,
-    mode: PlannerMode,
-    limit: Option<usize>,
-    rt: &Runtime,
-) -> Result<NodeBindings> {
-    planned_eval(graph, query, cache, seed, mode, limit, rt)
 }
 
 /// The planned evaluation core: pick access paths, ensure the chosen
-/// backing (materialized relation or compiled demand evaluator) per atom,
+/// backing (materialized relation or compiled demand automata) per atom,
 /// then run the mixed join. `limit` stops the join after that many rows
 /// (existence probes pass 1).
 ///
@@ -427,11 +284,12 @@ pub fn evaluate_with_scratch(
 // The `expect("ensured")` cache lookups below follow the ensure pass over
 // the same atoms; a miss is a planner/cache bug that a silent fallback
 // would only hide.
-#[allow(clippy::expect_used)]
+#[allow(clippy::expect_used, clippy::too_many_arguments)]
 pub(crate) fn planned_eval<C: RelCache>(
     graph: &Graph,
     query: &Cnre,
     cache: &mut C,
+    demand: &DemandBacking<'_>,
     seed: &FxHashMap<Symbol, NodeId>,
     mode: PlannerMode,
     limit: Option<usize>,
@@ -445,15 +303,12 @@ pub(crate) fn planned_eval<C: RelCache>(
     let bound: FxHashSet<Symbol> = seed.keys().copied().filter(|v| vars.contains(v)).collect();
     let mut plan = plan_query(graph, query, &bound, mode);
     for (i, atom) in query.atoms.iter().enumerate() {
-        match plan.access[i] {
-            AccessChoice::Demand => {
-                // Outside the demand-evaluable fragment: flip back.
-                if !cache.demand_ensure(&atom.nre) {
-                    plan.access[i] = AccessChoice::Materialize;
-                    cache.ensure(graph, &atom.nre, rt);
-                }
-            }
-            AccessChoice::Materialize => cache.ensure(graph, &atom.nre, rt),
+        // Outside the demand-evaluable fragment: flip back.
+        if plan.access[i] == AccessChoice::Demand && demand.slots[i].is_none() {
+            plan.access[i] = AccessChoice::Materialize;
+        }
+        if plan.access[i] == AccessChoice::Materialize {
+            cache.ensure(graph, &atom.nre, rt);
         }
     }
     let cache = &*cache;
@@ -463,7 +318,7 @@ pub(crate) fn planned_eval<C: RelCache>(
         .enumerate()
         .map(|(i, a)| match plan.access[i] {
             AccessChoice::Materialize => AtomAccess::Mat(cache.get(&a.nre).expect("ensured")),
-            AccessChoice::Demand => AtomAccess::Demand(cache.demand_get(&a.nre).expect("ensured")),
+            AccessChoice::Demand => demand.access(i).expect("compiled"),
         })
         .collect();
     if mode == PlannerMode::Materialize {
@@ -530,7 +385,7 @@ enum OuterCand {
 ///
 /// Returns `None` (caller falls back to the sequential join) when: a
 /// `limit` demands early exit, any atom took the demand access path (its
-/// memoizing evaluator is deliberately single-threaded scratch), both
+/// memo scratch belongs to this one evaluation's thread), both
 /// endpoints of the outer atom are already bound, or the candidate count
 /// is below [`PAR_MIN_OUTER`].
 #[allow(clippy::too_many_arguments)]
@@ -548,14 +403,14 @@ fn parallel_outer_join(
         return None;
     }
     // `AtomAccess` as a *type* cannot cross threads (its demand variant
-    // holds a `RefCell`), so extract the all-materialized view first and
+    // holds a `RefCell` scratch), so extract the all-materialized view first and
     // let each worker rebuild its own access vector from the Sync
     // relations.
     let mats: Vec<&BinRel> = access
         .iter()
         .map(|a| match a {
             AtomAccess::Mat(rel) => Some(*rel),
-            AtomAccess::Demand(_) => None,
+            AtomAccess::Demand(..) => None,
         })
         .collect::<Option<_>>()?;
     let ai = order[0];
@@ -704,11 +559,12 @@ pub(crate) enum TermSlot {
     Fixed(NodeId),
 }
 
-/// One atom's backing during a join: a materialized relation, or a
-/// memoizing demand evaluator probed from whichever endpoint is bound.
+/// One atom's backing during a join: a materialized relation, or
+/// compiled demand automata probed from whichever endpoint is bound,
+/// memoizing into the evaluation's scratch.
 pub(crate) enum AtomAccess<'a> {
     Mat(&'a BinRel),
-    Demand(&'a RefCell<DemandEvaluator>),
+    Demand(&'a DemandAutomata, &'a RefCell<DemandScratch>),
 }
 
 /// The mixed-access join. Returns `true` when `limit` rows were collected
@@ -758,7 +614,7 @@ pub(crate) fn join_access(
         (Some(u), Some(w)) => {
             let hit = match &access[ai] {
                 AtomAccess::Mat(rel) => rel.contains(u, w),
-                AtomAccess::Demand(ev) => ev.borrow_mut().contains(graph, u, w),
+                AtomAccess::Demand(auto, s) => auto.contains(&mut s.borrow_mut(), graph, u, w),
             };
             if hit {
                 return recurse!();
@@ -779,10 +635,10 @@ pub(crate) fn join_access(
                         }
                     }
                 }
-                AtomAccess::Demand(ev) => {
-                    // Copy the memoized slice so the evaluator is free for
+                AtomAccess::Demand(auto, s) => {
+                    // Copy the memoized slice so the scratch is free for
                     // re-borrowing inside the recursion.
-                    let cand: Vec<NodeId> = ev.borrow_mut().image(graph, u).to_vec();
+                    let cand: Vec<NodeId> = auto.image(&mut s.borrow_mut(), graph, u).to_vec();
                     for w in cand {
                         binding.insert(rvar, w);
                         if recurse!() {
@@ -809,8 +665,8 @@ pub(crate) fn join_access(
                         }
                     }
                 }
-                AtomAccess::Demand(ev) => {
-                    let cand: Vec<NodeId> = ev.borrow_mut().preimage(graph, w).to_vec();
+                AtomAccess::Demand(auto, s) => {
+                    let cand: Vec<NodeId> = auto.preimage(&mut s.borrow_mut(), graph, w).to_vec();
                     for u in cand {
                         binding.insert(lvar, u);
                         if recurse!() {
@@ -835,11 +691,11 @@ pub(crate) fn join_access(
             // defensive arm below keeps the join total regardless.
             let pairs: Box<dyn Iterator<Item = (NodeId, NodeId)> + '_> = match &access[ai] {
                 AtomAccess::Mat(rel) => Box::new(rel.iter()),
-                AtomAccess::Demand(ev) => {
+                AtomAccess::Demand(auto, s) => {
                     debug_assert!(false, "planner bound-endpoint invariant violated");
                     let mut all: Vec<(NodeId, NodeId)> = Vec::new();
                     for u in graph.node_ids() {
-                        for &v in ev.borrow_mut().image(graph, u) {
+                        for &v in auto.image(&mut s.borrow_mut(), graph, u) {
                             all.push((u, v));
                         }
                     }
@@ -877,12 +733,13 @@ pub(crate) fn join_access(
 
 #[cfg(test)]
 mod tests {
-    // These tests pin the behaviour of the deprecated one-shot wrappers
-    // (downstream code still compiles against them); new code should go
-    // through `PreparedQuery`, tested in `crate::prepared`.
-    #![allow(deprecated)]
-
+    // The join and planner shapes, driven through the one entry point.
     use super::*;
+    use crate::PreparedQuery;
+
+    fn evaluate(g: &Graph, q: &Cnre) -> Result<NodeBindings> {
+        PreparedQuery::new(q.clone()).evaluate(g)
+    }
 
     fn g1() -> Graph {
         // Figure 1(a).
@@ -955,21 +812,21 @@ mod tests {
     fn eval_with_shared_cache() {
         let g = g1();
         let mut cache = EvalCache::new();
-        let q = Cnre::parse("(x, f.f*, y)").unwrap();
-        let a1 = evaluate_with_cache(&g, &q, &mut cache).unwrap();
-        let a2 = evaluate_with_cache(&g, &q, &mut cache).unwrap();
+        let q = PreparedQuery::parse("(x, f.f*, y)").unwrap();
+        let a1 = q.matches(&g, &mut cache).unwrap();
+        let a2 = q.matches(&g, &mut cache).unwrap();
         assert_eq!(a1, a2);
     }
 
     #[test]
     fn seeded_evaluation_fixes_variables() {
         let g = g1();
-        let q = Cnre::parse("(x, f, y), (y, h, z)").unwrap();
+        let q = PreparedQuery::parse("(x, f, y), (y, h, z)").unwrap();
         let mut cache = EvalCache::new();
         let c1 = g.node_id(Node::cst("c1")).unwrap();
         let mut seed = FxHashMap::default();
         seed.insert(Symbol::new("x"), c1);
-        let b = crate::eval::evaluate_seeded(&g, &q, &mut cache, &seed).unwrap();
+        let b = q.evaluate_seeded(&g, &mut cache, &seed).unwrap();
         // x fixed to c1: y = N, z ∈ {hx, hy}.
         assert_eq!(b.len(), 2);
         for row in b.rows() {
@@ -977,7 +834,7 @@ mod tests {
         }
         // Seeding an unused variable is harmless.
         seed.insert(Symbol::new("unused"), c1);
-        let b2 = crate::eval::evaluate_seeded(&g, &q, &mut cache, &seed).unwrap();
+        let b2 = q.evaluate_seeded(&g, &mut cache, &seed).unwrap();
         assert_eq!(b2.len(), 2);
     }
 
@@ -995,20 +852,23 @@ mod tests {
             ("(x1, f.f*.[h].f-.(f-)*, x2)", Some("x1")),
             ("(x, f, y), (y, h, \"hx\")", None),
         ] {
-            let q = Cnre::parse(query).unwrap();
+            let q = PreparedQuery::parse(query).unwrap();
             let mut seed = FxHashMap::default();
             if let Some(v) = seed_var {
                 seed.insert(Symbol::new(v), g.node_id(Node::cst("c1")).unwrap());
             }
             let mut c1 = EvalCache::new();
-            let auto = evaluate_seeded_mode(&g, &q, &mut c1, &seed, PlannerMode::Auto).unwrap();
+            let auto = q
+                .evaluate_seeded_mode(&g, &mut c1, &seed, PlannerMode::Auto)
+                .unwrap();
             let mut c2 = EvalCache::new();
-            let mat =
-                evaluate_seeded_mode(&g, &q, &mut c2, &seed, PlannerMode::Materialize).unwrap();
+            let mat = q
+                .evaluate_seeded_mode(&g, &mut c2, &seed, PlannerMode::Materialize)
+                .unwrap();
             assert_eq!(row_set(&auto), row_set(&mat), "{query} seed {seed_var:?}");
             let mut c3 = EvalCache::new();
             assert_eq!(
-                evaluate_seeded_exists(&g, &q, &mut c3, &seed).unwrap(),
+                q.evaluate_seeded_exists(&g, &mut c3, &seed).unwrap(),
                 !mat.is_empty(),
                 "{query}"
             );
@@ -1018,9 +878,15 @@ mod tests {
     #[test]
     fn evaluate_exists_probes_constants() {
         let g = g1();
-        assert!(evaluate_exists(&g, &Cnre::parse("(\"c1\", f.f, \"c2\")").unwrap()).unwrap());
-        assert!(!evaluate_exists(&g, &Cnre::parse("(\"c2\", f, \"c1\")").unwrap()).unwrap());
-        assert!(!evaluate_exists(&g, &Cnre::parse("(\"nope\", f, x)").unwrap()).unwrap());
+        let exists = |text: &str| {
+            PreparedQuery::parse(text)
+                .unwrap()
+                .evaluate_exists(&g)
+                .unwrap()
+        };
+        assert!(exists("(\"c1\", f.f, \"c2\")"));
+        assert!(!exists("(\"c2\", f, \"c1\")"));
+        assert!(!exists("(\"nope\", f, x)"));
     }
 
     #[test]

@@ -1,26 +1,27 @@
 //! Prepared CNRE queries: parse, validate, and compile once — evaluate
-//! many times.
+//! many times, from any number of threads.
 //!
-//! The free evaluation functions of [`crate::eval`] pay per call for work
-//! that only depends on the *query*: validation, and compilation of the
-//! guarded product-automata behind the demand access path (each fresh
-//! [`EvalCache`] carries an empty demand pool). The paper's workloads ask
-//! the same CNREs over and over — constraint bodies per chase round,
-//! certain-answer probes per candidate solution — so [`PreparedQuery`]
-//! hoists that work into construction:
+//! [`PreparedQuery`] is the one evaluation entry point. It hoists
+//! everything that only depends on the *query* into construction:
 //!
 //! * the query text is parsed and validated once ([`PreparedQuery::parse`]);
-//! * every atom's NRE is compiled into a demand evaluator up front
-//!   ([`gdx_nre::DemandPool::prepared`]); atoms outside the demand
-//!   fragment are remembered as materialize-only, so planning never
-//!   re-attempts compilation;
+//! * every distinct atom NRE is compiled into demand automata up front
+//!   ([`DemandAutomata`]); atoms outside the demand fragment are
+//!   remembered as materialize-only, so planning never re-attempts
+//!   compilation. Construction is the only place a query's automata are
+//!   compiled;
 //! * the variable list (the output schema) is computed once.
 //!
-//! Evaluation itself still takes the graph *and* a materialization cache:
-//! relations are per-graph artifacts, while the compiled automata are
-//! graph-independent (the demand evaluators re-pin their memo tables to
-//! the `(GraphId, Epoch)` they are probed against, so one prepared query
-//! serves many graphs and many epochs of one growing graph).
+//! Evaluation takes the graph *and* a materialization cache: relations are
+//! per-graph artifacts, while the compiled automata are graph-independent.
+//! The mutable half of demand evaluation — memo tables pinned to a
+//! `(GraphId, Epoch)`, BFS bitsets, work counters — lives in scratch sets
+//! ([`DemandScratch`], one per compiled NRE). The query keeps a small
+//! checkout pool of them: an evaluation pops a set, evaluates, and pushes
+//! it back, holding the pool's lock only for the pop and the push. One
+//! thread therefore reuses one warm set call after call, and `N`
+//! concurrent evaluations grow the pool to at most `N` sets. The query is
+//! `Send + Sync`, so parallel callers share one `&PreparedQuery`.
 //!
 //! ```
 //! use gdx_graph::Graph;
@@ -40,27 +41,41 @@
 //! ```
 
 use crate::cnre::Cnre;
-use crate::eval::{planned_eval, NodeBindings, RelCache};
+use crate::eval::{planned_eval, DemandBacking, NodeBindings, RelCache};
 use crate::plan::PlannerMode;
 use gdx_common::{FxHashMap, Result, Symbol, Term};
 use gdx_graph::{Graph, NodeId};
-use gdx_nre::demand::DemandEvaluator;
+use gdx_nre::demand::{DemandAutomata, DemandScratch, DemandStats};
 use gdx_nre::eval::EvalCache;
-use gdx_nre::{BinRel, DemandPool, Nre};
+use gdx_nre::{IncrementalCache, Nre};
 use gdx_runtime::Runtime;
 use std::cell::RefCell;
+use std::sync::{Mutex, PoisonError};
+
+/// One scratch per compiled NRE, aligned with [`PreparedQuery`]'s
+/// automata. `RefCell` lets several atoms of one evaluation share their
+/// NRE's scratch one probe at a time.
+type ScratchSet = Vec<RefCell<DemandScratch>>;
 
 /// A parsed, validated CNRE with pre-compiled demand automata and its
-/// output schema — reusable across graphs and epochs.
+/// output schema — reusable across graphs, epochs and threads.
 ///
 /// Construct once per query shape (per constraint body, per user query),
 /// then call the evaluation methods freely; see the [module docs](self)
-/// for what is hoisted into construction.
+/// for what is hoisted into construction and how concurrent evaluations
+/// get their scratch.
 #[derive(Debug)]
 pub struct PreparedQuery {
     query: Cnre,
     vars: Vec<Symbol>,
-    pool: DemandPool,
+    /// Compiled automata, one per distinct atom NRE inside the demand
+    /// fragment.
+    automata: Vec<DemandAutomata>,
+    /// Per atom: index into `automata`, or `None` when the atom's NRE is
+    /// outside the demand fragment (planned evaluation materializes it).
+    slots: Vec<Option<usize>>,
+    /// Checkout pool of scratch sets; see the module docs.
+    pool: Mutex<Vec<ScratchSet>>,
 }
 
 impl PreparedQuery {
@@ -80,11 +95,29 @@ impl PreparedQuery {
 
     /// Prepares an already-built query. Compilation cannot fail (atoms
     /// outside the demand fragment simply materialize); shape validation
-    /// happens on evaluation, exactly like the free functions.
+    /// happens on evaluation.
     pub fn new(query: Cnre) -> PreparedQuery {
         let vars = query.variables();
-        let pool = DemandPool::prepared(query.atoms.iter().map(|a| &a.nre));
-        PreparedQuery { query, vars, pool }
+        let mut automata = Vec::new();
+        let mut slots: Vec<Option<usize>> = Vec::with_capacity(query.atoms.len());
+        for (i, atom) in query.atoms.iter().enumerate() {
+            // Atoms sharing an NRE share its automata (and scratch).
+            let slot = match query.atoms[..i].iter().position(|a| a.nre == atom.nre) {
+                Some(j) => slots[j],
+                None => DemandAutomata::compile(&atom.nre).ok().map(|auto| {
+                    automata.push(auto);
+                    automata.len() - 1
+                }),
+            };
+            slots.push(slot);
+        }
+        PreparedQuery {
+            query,
+            vars,
+            automata,
+            slots,
+            pool: Mutex::new(Vec::new()),
+        }
     }
 
     /// Prepares the single-atom query `(left, r, right)` — the shape of
@@ -194,11 +227,29 @@ impl PreparedQuery {
         crate::explain::explain_query(graph, &self.query, &Default::default(), mode)
     }
 
-    /// Probe counters of the compiled demand evaluator for `r` (an atom's
-    /// NRE), when `r` is in the demand fragment and was compiled at
-    /// construction — observability for tests and benches.
-    pub fn demand_stats(&self, r: &Nre) -> Option<gdx_nre::DemandStats> {
-        self.pool.get(r).map(|ev| ev.borrow().stats())
+    /// Probe counters of the compiled demand automata for `r` (an atom's
+    /// NRE), summed over every scratch set in the pool, when `r` is in the
+    /// demand fragment — observability for tests and benches. Read it
+    /// between evaluations: a set checked out by a running evaluation is
+    /// not in the pool.
+    pub fn demand_stats(&self, r: &Nre) -> Option<DemandStats> {
+        let atom = self.query.atoms.iter().position(|a| &a.nre == r)?;
+        let slot = self.slots[atom]?;
+        let pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut total = DemandStats::default();
+        for set in pool.iter() {
+            total += set[slot].borrow().stats();
+        }
+        Some(total)
+    }
+
+    /// Scratch sets currently in the pool: at most the largest number of
+    /// evaluations that ran at once.
+    pub fn pooled_scratch_sets(&self) -> usize {
+        self.pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// The full-control entry point: planner mode and an answer-row cap
@@ -219,11 +270,10 @@ impl PreparedQuery {
     /// joins) the join's outer loop partition across the runtime's
     /// workers. Answers are byte-identical at any worker count.
     ///
-    /// The prepared query itself still evaluates from one calling thread
-    /// (its compiled demand pool is single-threaded scratch); the
-    /// parallelism here is *inside* the evaluation. To fan whole
-    /// evaluations out across threads, give each worker its own scratch
-    /// cache via [`crate::evaluate_with_scratch`].
+    /// The parallelism here is *inside* one evaluation. To fan whole
+    /// evaluations out, share `&self` across the workers, each with its
+    /// own materialization cache: every concurrent evaluation checks out
+    /// its own scratch set.
     pub fn evaluate_limited_rt(
         &self,
         graph: &Graph,
@@ -236,45 +286,83 @@ impl PreparedQuery {
         self.eval_planned(graph, cache, seed, mode, limit, rt)
     }
 
-    fn eval_planned(
+    /// Seeded evaluation backed by an [`IncrementalCache`] — used by the
+    /// chase for head-satisfaction checks, so repeated checks advance
+    /// materialized relations by graph deltas instead of rebuilding them.
+    /// Atoms the planner routes to the demand path skip materialization
+    /// entirely.
+    pub fn evaluate_seeded_incremental(
         &self,
         graph: &Graph,
-        cache: &mut EvalCache,
+        cache: &mut IncrementalCache,
+        seed: &FxHashMap<Symbol, NodeId>,
+    ) -> Result<NodeBindings> {
+        self.eval_planned(
+            graph,
+            cache,
+            seed,
+            PlannerMode::Auto,
+            None,
+            &Runtime::sequential(),
+        )
+    }
+
+    /// Existence probe under a seed against an [`IncrementalCache`]:
+    /// early-exits at the first satisfying row — the shape of the tgd
+    /// chase's head-satisfaction checks.
+    pub fn evaluate_seeded_incremental_exists(
+        &self,
+        graph: &Graph,
+        cache: &mut IncrementalCache,
+        seed: &FxHashMap<Symbol, NodeId>,
+    ) -> Result<bool> {
+        Ok(!self
+            .eval_planned(
+                graph,
+                cache,
+                seed,
+                PlannerMode::Auto,
+                Some(1),
+                &Runtime::sequential(),
+            )?
+            .is_empty())
+    }
+
+    fn eval_planned<C: RelCache>(
+        &self,
+        graph: &Graph,
+        cache: &mut C,
         seed: &FxHashMap<Symbol, NodeId>,
         mode: PlannerMode,
         limit: Option<usize>,
         rt: &Runtime,
     ) -> Result<NodeBindings> {
-        let mut backed = PreparedRelCache {
-            inner: cache,
-            pool: &self.pool,
+        let scratch = self.checkout();
+        let demand = DemandBacking {
+            automata: &self.automata,
+            slots: &self.slots,
+            scratch: &scratch,
         };
-        planned_eval(graph, &self.query, &mut backed, seed, mode, limit, rt)
+        let out = planned_eval(graph, &self.query, cache, &demand, seed, mode, limit, rt);
+        self.checkin(scratch);
+        out
     }
-}
 
-/// [`RelCache`] adapter splitting the two cache roles: materialized
-/// relations live in the caller's per-graph [`EvalCache`], compiled demand
-/// evaluators come from the prepared query's own pool (`demand_ensure`
-/// becomes a lookup — the pool was populated at construction, so nothing
-/// compiles on the evaluation path).
-struct PreparedRelCache<'a> {
-    inner: &'a mut EvalCache,
-    pool: &'a DemandPool,
-}
+    /// Pops a scratch set, or makes a fresh one when every set is out.
+    fn checkout(&self) -> ScratchSet {
+        let pooled = self
+            .pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        pooled.unwrap_or_else(|| self.automata.iter().map(|_| RefCell::default()).collect())
+    }
 
-impl RelCache for PreparedRelCache<'_> {
-    fn ensure(&mut self, graph: &Graph, r: &Nre, rt: &Runtime) {
-        EvalCache::ensure_rt(self.inner, graph, r, rt);
-    }
-    fn get(&self, r: &Nre) -> Option<&BinRel> {
-        EvalCache::get(self.inner, r)
-    }
-    fn demand_ensure(&mut self, r: &Nre) -> bool {
-        self.pool.compiled(r)
-    }
-    fn demand_get(&self, r: &Nre) -> Option<&RefCell<DemandEvaluator>> {
-        self.pool.get(r)
+    fn checkin(&self, scratch: ScratchSet) {
+        self.pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(scratch);
     }
 }
 
@@ -293,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn prepared_agrees_with_free_evaluation_across_shapes() {
+    fn demand_plan_agrees_with_materialization_across_shapes() {
         let g = g1();
         for text in [
             "(x, h, y)",
@@ -302,8 +390,15 @@ mod tests {
             "(\"c1\", f.f, \"c2\")",
         ] {
             let q = PreparedQuery::parse(text).unwrap();
-            #[allow(deprecated)]
-            let free = crate::evaluate(&g, q.cnre()).unwrap();
+            let mut cache = EvalCache::new();
+            let free = q
+                .evaluate_seeded_mode(
+                    &g,
+                    &mut cache,
+                    &FxHashMap::default(),
+                    PlannerMode::Materialize,
+                )
+                .unwrap();
             assert_eq!(row_set(&q.evaluate(&g).unwrap()), row_set(&free), "{text}");
             assert_eq!(q.evaluate_exists(&g).unwrap(), !free.is_empty(), "{text}");
         }

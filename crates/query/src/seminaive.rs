@@ -20,10 +20,7 @@
 //! evaluation — never to a silently truncated delta.
 
 use crate::cnre::Cnre;
-use crate::eval::{
-    greedy_order, join_access, planned_eval, resolve_slots, AtomAccess, NodeBindings, RowBuf,
-};
-use crate::plan::PlannerMode;
+use crate::eval::{greedy_order, join_access, resolve_slots, AtomAccess, NodeBindings, RowBuf};
 use gdx_common::{FxHashMap, FxHashSet, Result, Symbol};
 use gdx_graph::{Graph, NodeId};
 use gdx_nre::incremental::{EvalMark, IncrementalCache};
@@ -175,50 +172,6 @@ impl SemiNaiveState {
     }
 }
 
-/// Seeded evaluation backed by an [`IncrementalCache`] — the incremental
-/// sibling of [`crate::evaluate_seeded`], used by the chase for
-/// head-satisfaction checks so repeated checks advance materialized
-/// relations instead of rebuilding them. Atoms the planner routes to the
-/// demand path skip materialization entirely (product-BFS from the seeded
-/// endpoint, memoized in the cache's demand pool).
-pub fn evaluate_seeded_incremental(
-    graph: &Graph,
-    query: &Cnre,
-    cache: &mut IncrementalCache,
-    seed: &FxHashMap<Symbol, NodeId>,
-) -> Result<NodeBindings> {
-    planned_eval(
-        graph,
-        query,
-        cache,
-        seed,
-        PlannerMode::Auto,
-        None,
-        &Runtime::sequential(),
-    )
-}
-
-/// Existence probe under a seed against an [`IncrementalCache`]:
-/// early-exits at the first satisfying row — the shape of the tgd chase's
-/// head-satisfaction checks.
-pub fn evaluate_seeded_incremental_exists(
-    graph: &Graph,
-    query: &Cnre,
-    cache: &mut IncrementalCache,
-    seed: &FxHashMap<Symbol, NodeId>,
-) -> Result<bool> {
-    Ok(!planned_eval(
-        graph,
-        query,
-        cache,
-        seed,
-        PlannerMode::Auto,
-        Some(1),
-        &Runtime::sequential(),
-    )?
-    .is_empty())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,11 +277,12 @@ mod tests {
             Symbol::new("x"),
             g.node_id(gdx_graph::Node::cst("c1")).unwrap(),
         );
-        let a = evaluate_seeded_incremental(&g, &q, &mut inc, &seed).unwrap();
-        let mut cache = gdx_nre::eval::EvalCache::new();
-        let b = PreparedQuery::new(q.clone())
-            .evaluate_seeded(&g, &mut cache, &seed)
+        let prepared = PreparedQuery::new(q);
+        let a = prepared
+            .evaluate_seeded_incremental(&g, &mut inc, &seed)
             .unwrap();
+        let mut cache = gdx_nre::eval::EvalCache::new();
+        let b = prepared.evaluate_seeded(&g, &mut cache, &seed).unwrap();
         assert_eq!(row_set(&a), row_set(&b));
         assert_eq!(a.len(), 2);
     }

@@ -159,16 +159,38 @@ fn representative_memo_survives_across_the_whole_workload() {
     }
 }
 
+/// Demand counters are summed over every scratch set the workers used,
+/// so the `demand.*` registry deltas of one `certain_answers` call and one
+/// `Certain`-verdict `certain` call do not depend on the worker count.
 #[test]
-fn deprecated_exchange_facade_still_works() {
-    // The compatibility shim: old code written against `Exchange` keeps
-    // compiling and answering.
-    #![allow(deprecated)]
-    let ex = Exchange::new(Setting::example_2_2_egd(), Instance::example_2_2());
-    assert!(ex.solution_exists().unwrap().exists());
-    let g1 =
-        Graph::parse("(c1, f, _N); (c3, f, _N); (_N, f, c2); (_N, h, hx); (_N, h, hy);").unwrap();
-    assert!(ex.is_solution(&g1).unwrap());
-    let mut session = ex.into_session();
-    assert!(session.solution_exists().unwrap().exists());
+fn demand_counters_are_equal_at_one_and_two_workers() {
+    const KEYS: [&str; 3] = ["demand.visited", "demand.bfs_runs", "demand.guard_checks"];
+    fn read(obs: &Obs) -> [u64; 3] {
+        let reg = obs.registry().expect("enabled");
+        KEYS.map(|k| reg.counter(k))
+    }
+    fn delta(after: [u64; 3], before: [u64; 3]) -> [u64; 3] {
+        [0, 1, 2].map(|i| after[i] - before[i])
+    }
+    let run = |threads: Threads| {
+        let obs = Obs::enabled();
+        let mut s = ExchangeSession::new(Setting::example_2_2_egd(), Instance::example_2_2())
+            .with_options(Options::default().with_threads(threads))
+            .with_obs(obs.clone());
+        let start = read(&obs);
+        let answers = PreparedQuery::parse("(x, f.f*, \"c2\")").unwrap();
+        s.certain_answers(&answers).unwrap();
+        let after_answers = read(&obs);
+        let probe = PreparedQuery::parse("(\"c1\", f.f*, \"c2\")").unwrap();
+        assert!(s.certain(&probe).unwrap().is_certain());
+        let after_certain = read(&obs);
+        (
+            delta(after_answers, start),
+            delta(after_certain, after_answers),
+        )
+    };
+    let one = run(Threads::Fixed(1));
+    assert!(one.0[0] > 0, "certain_answers must take the demand path");
+    assert!(one.1[0] > 0, "certain must take the demand path");
+    assert_eq!(one, run(Threads::Fixed(2)));
 }
