@@ -2,10 +2,9 @@
 //!
 //! Counts heap allocations (via a counting wrapper around the system
 //! allocator) performed by the 500-flight paper-query evaluation workload:
-//! one cold seeded image enumeration (the `chase_scaling/demand_driven`
-//! bench shape) plus a sweep of constant-pair membership probes (the
-//! `exists_egd/demand_driven` shape). Allocation count, unlike wall time,
-//! is deterministic per build, so it makes a sharp CI guard: the PR-5 data
+//! one cold seeded image enumeration plus a sweep of constant-pair
+//! membership probes. Allocation count, unlike wall time, is
+//! deterministic per build, so it makes a sharp CI guard: the PR-5 data
 //! plane (frozen CSR snapshots, arena-backed `BinRel` adjacency, reusable
 //! bitset scratch in the product-BFS) must keep the count at ≤ 25% of what
 //! the PR-4 hash-map data plane allocated on the same workload.

@@ -4,7 +4,7 @@
 //! materialization enumerates — the asymptotic claim of the PR-2
 //! evaluator, pinned as a test via the [`DemandStats`] visit counter.
 
-use gdx_chase::{chase_st, StChaseVariant};
+use gdx_chase::chase_st;
 use gdx_common::FxHashSet;
 use gdx_datagen::{flights_hotels, rng, FlightsHotelsParams};
 use gdx_graph::{Node, NodeId};
@@ -27,7 +27,7 @@ fn seeded_certain_check_visits_under_ten_percent() {
         },
         &mut rng(7),
     );
-    let st = chase_st(&inst, &setting, StChaseVariant::Oblivious).expect("st chase");
+    let st = chase_st(&inst, &setting).expect("st chase");
     let g = gdx_pattern::instantiate_shortest(&st.pattern).expect("instantiation");
     let r = parse_nre("f.f*.[h].f-.(f-)*").expect("paper query");
 

@@ -41,8 +41,10 @@ pub struct EgdChaseConfig {
     pub allow_reversed: bool,
     /// Merge every violation found in a round at once (via union-find)
     /// instead of one merge per re-evaluation. Same fixpoint, far fewer
-    /// evaluation rounds on merge-heavy patterns; the one-at-a-time mode
-    /// is kept as the B5 ablation baseline.
+    /// evaluation rounds on merge-heavy patterns. The one-at-a-time mode
+    /// (`false`) is the reference that
+    /// `crates/chase/tests/prop.rs::egd_chase_modes_agree` checks the
+    /// batched mode against.
     pub batch_merges: bool,
     /// Hard cap on merge rounds (safety net; merges strictly shrink the
     /// pattern, so the chase terminates regardless).
@@ -540,7 +542,7 @@ pub fn adapted_chase(
     setting: &gdx_mapping::Setting,
     cfg: EgdChaseConfig,
 ) -> Result<EgdChaseOutcome> {
-    let st = crate::st::chase_st(instance, setting, crate::st::StChaseVariant::Oblivious)?;
+    let st = crate::st::chase_st(instance, setting)?;
     let egds: Vec<Egd> = setting.egds().cloned().collect();
     chase_egds_on_pattern(&st.pattern, &egds, cfg)
 }

@@ -33,7 +33,7 @@ pub use egd_pattern::{
     chase_egds_on_pattern, chase_egds_on_pattern_obs, EgdChaseConfig, EgdChaseOutcome,
 };
 pub use sameas::{saturate_same_as, SameAsEngine};
-pub use st::{chase_st, chase_st_with_nulls, StChaseResult, StChaseVariant};
+pub use st::{chase_st, chase_st_with_nulls, StChaseResult};
 pub use tgd::{
     chase_target_tgds, ChaseStats, TgdChaseConfig, TgdChaseEngine, TgdChaseMode, TgdChaseResult,
 };

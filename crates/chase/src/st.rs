@@ -6,13 +6,8 @@
 //! `μ(x̄)`, existential variables become fresh labeled nulls (per trigger),
 //! and each head atom `(t, r, t')` becomes a pattern edge with the NRE `r`.
 //!
-//! Two variants:
-//!
-//! * **oblivious** — every trigger fires (what \[5\]'s universal
-//!   representative construction does, and what Example 3.2 shows);
-//! * **restricted** — a trigger is skipped when the head is already
-//!   satisfied *syntactically* in the pattern (same-NRE edges under some
-//!   assignment of the existential variables). An ablation axis (B5).
+//! The chase is oblivious: every trigger fires, which is what \[5\]'s
+//! universal representative construction does and what Example 3.2 shows.
 
 use gdx_common::{FxHashMap, GdxError, Result, Symbol, Term};
 use gdx_graph::{Node, NullFactory};
@@ -20,46 +15,29 @@ use gdx_mapping::{Setting, SourceToTargetTgd};
 use gdx_pattern::{GraphPattern, PNodeId};
 use gdx_relational::{evaluate, Instance};
 
-/// Which chase variant to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StChaseVariant {
-    /// Fire every trigger.
-    #[default]
-    Oblivious,
-    /// Skip triggers whose head is already (syntactically) satisfied.
-    Restricted,
-}
-
 /// Output of the s-t chase.
 #[derive(Debug, Clone)]
 pub struct StChaseResult {
     /// The chased pattern (the universal representative when `M_t = ∅`).
     pub pattern: GraphPattern,
-    /// Number of triggers found.
+    /// Number of triggers found (each one fired).
     pub triggers: usize,
-    /// Number of triggers actually fired.
-    pub fired: usize,
 }
 
 /// Runs the s-t chase of `setting` on `instance`.
 ///
 /// ```
-/// use gdx_chase::{chase_st, StChaseVariant};
+/// use gdx_chase::chase_st;
 /// use gdx_mapping::Setting;
 /// use gdx_relational::Instance;
 /// let setting = Setting::example_2_2_egd();
-/// let out = chase_st(&Instance::example_2_2(), &setting, StChaseVariant::Oblivious)
-///     .unwrap();
+/// let out = chase_st(&Instance::example_2_2(), &setting).unwrap();
 /// assert_eq!(out.pattern.null_count(), 3); // N1, N2, N3 of Figure 3
 /// ```
-pub fn chase_st(
-    instance: &Instance,
-    setting: &Setting,
-    variant: StChaseVariant,
-) -> Result<StChaseResult> {
+pub fn chase_st(instance: &Instance, setting: &Setting) -> Result<StChaseResult> {
     // One null factory per chase run: null names are deterministic per
     // (instance, setting) regardless of what else ran in the process.
-    chase_st_with_nulls(instance, setting, variant, NullFactory::new())
+    chase_st_with_nulls(instance, setting, NullFactory::new())
 }
 
 /// [`chase_st`] with a caller-supplied null factory — sessions use this to
@@ -68,29 +46,19 @@ pub fn chase_st(
 pub fn chase_st_with_nulls(
     instance: &Instance,
     setting: &Setting,
-    variant: StChaseVariant,
     mut nulls: NullFactory,
 ) -> Result<StChaseResult> {
     setting.validate()?;
     let mut pattern = GraphPattern::new();
     let mut triggers = 0;
-    let mut fired = 0;
     for tgd in &setting.st_tgds {
         let bindings = evaluate(instance, &tgd.body)?;
         for row in bindings.iter_maps() {
             triggers += 1;
-            if variant == StChaseVariant::Restricted && head_satisfied(&pattern, tgd, &row) {
-                continue;
-            }
             fire(&mut pattern, tgd, &row, &mut nulls)?;
-            fired += 1;
         }
     }
-    Ok(StChaseResult {
-        pattern,
-        triggers,
-        fired,
-    })
+    Ok(StChaseResult { pattern, triggers })
 }
 
 /// Instantiates the head of `tgd` under the body match `row`.
@@ -129,54 +97,6 @@ fn fire(
     Ok(())
 }
 
-/// Syntactic satisfaction check for the restricted variant: does some
-/// assignment of the existential variables to pattern nodes make every
-/// head atom an existing pattern edge with the *identical* NRE?
-fn head_satisfied(
-    pattern: &GraphPattern,
-    tgd: &SourceToTargetTgd,
-    row: &FxHashMap<Symbol, Symbol>,
-) -> bool {
-    let ex: Vec<Symbol> = tgd.existential.clone();
-    let mut assign: FxHashMap<Symbol, PNodeId> = FxHashMap::default();
-    satisfied_rec(pattern, tgd, row, &ex, 0, &mut assign)
-}
-
-fn satisfied_rec(
-    pattern: &GraphPattern,
-    tgd: &SourceToTargetTgd,
-    row: &FxHashMap<Symbol, Symbol>,
-    ex: &[Symbol],
-    depth: usize,
-    assign: &mut FxHashMap<Symbol, PNodeId>,
-) -> bool {
-    let resolve = |t: &Term, assign: &FxHashMap<Symbol, PNodeId>| -> Option<PNodeId> {
-        match t {
-            Term::Const(c) => pattern.node_id(Node::Const(*c)),
-            Term::Var(v) => assign
-                .get(v)
-                .copied()
-                .or_else(|| row.get(v).and_then(|&c| pattern.node_id(Node::Const(c)))),
-        }
-    };
-    if depth == ex.len() {
-        return tgd.head.atoms.iter().all(|atom| {
-            match (resolve(&atom.left, assign), resolve(&atom.right, assign)) {
-                (Some(s), Some(d)) => pattern.has_edge(s, &atom.nre, d),
-                _ => false,
-            }
-        });
-    }
-    for cand in pattern.node_ids() {
-        assign.insert(ex[depth], cand);
-        if satisfied_rec(pattern, tgd, row, ex, depth + 1, assign) {
-            return true;
-        }
-        assign.remove(&ex[depth]);
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,15 +105,9 @@ mod tests {
     #[test]
     fn example_3_2_pattern_shape() {
         // Figure 3: 3 triggers, each firing 3 edges with a fresh null.
-        let out = chase_st(
-            &Instance::example_2_2(),
-            &Setting::example_2_2_egd(),
-            StChaseVariant::Oblivious,
-        )
-        .unwrap();
+        let out = chase_st(&Instance::example_2_2(), &Setting::example_2_2_egd()).unwrap();
         let p = &out.pattern;
         assert_eq!(out.triggers, 3);
-        assert_eq!(out.fired, 3);
         assert_eq!(p.node_count(), 8, "c1,c2,c3,hx,hy + 3 nulls");
         assert_eq!(p.edge_count(), 9);
         assert_eq!(p.null_count(), 3);
@@ -217,21 +131,16 @@ mod tests {
         // The s-t phase alone produces 3 nulls; Figure 2 (7 nodes) appears
         // after the egd step merges the two hx-hotel nulls — covered by
         // the egd_pattern tests.
-        let out = chase_st(
-            &Instance::example_2_2(),
-            &Setting::example_3_1(),
-            StChaseVariant::Oblivious,
-        )
-        .unwrap();
+        let out = chase_st(&Instance::example_2_2(), &Setting::example_3_1()).unwrap();
         let g = out.pattern.to_graph().unwrap();
         assert_eq!(g.node_count(), 8);
         assert_eq!(g.edge_count(), 9);
     }
 
     #[test]
-    fn restricted_skips_satisfied_triggers() {
-        // Two identical facts produce one trigger each for a tgd whose head
-        // does not depend on the differing column.
+    fn oblivious_fires_satisfied_triggers() {
+        // Two facts produce one trigger each for a tgd whose head does not
+        // depend on the differing column; both fire, each with its own null.
         let schema = gdx_relational::Schema::from_relations([("R", 2)]).unwrap();
         let inst = Instance::parse(schema, "R(a, b); R(a, c);").unwrap();
         let setting = gdx_mapping::dsl::parse_setting(
@@ -240,12 +149,9 @@ mod tests {
              sttgd R(x, y) -> exists z : (x, e, z);",
         )
         .unwrap();
-        let obl = chase_st(&inst, &setting, StChaseVariant::Oblivious).unwrap();
-        assert_eq!(obl.fired, 2);
-        assert_eq!(obl.pattern.null_count(), 2);
-        let res = chase_st(&inst, &setting, StChaseVariant::Restricted).unwrap();
-        assert_eq!(res.fired, 1, "second trigger already satisfied");
-        assert_eq!(res.pattern.null_count(), 1);
+        let out = chase_st(&inst, &setting).unwrap();
+        assert_eq!(out.triggers, 2);
+        assert_eq!(out.pattern.null_count(), 2);
     }
 
     #[test]
@@ -258,7 +164,7 @@ mod tests {
              sttgd R(x) -> (x, e, \"sink\");",
         )
         .unwrap();
-        let out = chase_st(&inst, &setting, StChaseVariant::Oblivious).unwrap();
+        let out = chase_st(&inst, &setting).unwrap();
         assert!(out.pattern.node_id(Node::cst("sink")).is_some());
         assert_eq!(out.pattern.edge_count(), 1);
     }
@@ -267,12 +173,7 @@ mod tests {
     fn empty_instance_empty_pattern() {
         let schema = gdx_relational::Schema::from_relations([("Flight", 3), ("Hotel", 2)]).unwrap();
         let inst = Instance::new(schema);
-        let out = chase_st(
-            &inst,
-            &Setting::example_2_2_egd(),
-            StChaseVariant::Oblivious,
-        )
-        .unwrap();
+        let out = chase_st(&inst, &Setting::example_2_2_egd()).unwrap();
         assert_eq!(out.pattern.node_count(), 0);
         assert_eq!(out.triggers, 0);
     }
@@ -289,7 +190,7 @@ mod tests {
         .unwrap();
         let schema = setting.source.clone();
         let inst = Instance::parse(schema, "R1(c1); R2(c2);").unwrap();
-        let out = chase_st(&inst, &setting, StChaseVariant::Oblivious).unwrap();
+        let out = chase_st(&inst, &setting).unwrap();
         assert_eq!(out.pattern.node_count(), 2);
         assert_eq!(out.pattern.edge_count(), 3);
         assert_eq!(out.pattern.null_count(), 0);

@@ -15,7 +15,7 @@ use gdx_automata::{included, PathInclusion, StepId};
 use gdx_chase::egd_pattern::{
     chase_egds_on_pattern, chase_egds_on_pattern_obs, EgdChaseConfig, EgdChaseOutcome,
 };
-use gdx_chase::st::{chase_st, StChaseVariant};
+use gdx_chase::st::chase_st;
 use gdx_exchange::reduction::{Reduction, ReductionFlavor};
 use gdx_mapping::Egd;
 use gdx_nre::Nre;
@@ -37,7 +37,7 @@ fn reduction(n: u32, seed: u64) -> Case {
     let clauses = (f64::from(n) * 4.26).round() as usize;
     let cnf = gdx_datagen::random_3cnf(n, clauses, &mut gdx_datagen::rng(seed));
     let red = Reduction::from_cnf(&cnf, ReductionFlavor::Egd).unwrap();
-    let st = chase_st(&red.instance, &red.setting, StChaseVariant::Oblivious).unwrap();
+    let st = chase_st(&red.instance, &red.setting).unwrap();
     let valuation = |bits: u64| (0..n).map(|i| bits >> i & 1 == 1).collect::<Vec<bool>>();
     let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     x ^= x << 13;

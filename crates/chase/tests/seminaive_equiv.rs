@@ -182,12 +182,7 @@ fn semi_naive_halves_body_match_work_on_datagen_instances() {
         },
         &mut gdx_datagen::rng(42),
     );
-    let st = gdx_chase::chase_st(
-        &inst,
-        &gdx_mapping::Setting::example_2_2_egd(),
-        gdx_chase::StChaseVariant::Oblivious,
-    )
-    .unwrap();
+    let st = gdx_chase::chase_st(&inst, &gdx_mapping::Setting::example_2_2_egd()).unwrap();
     let g = gdx_pattern::instantiate_shortest(&st.pattern).unwrap();
     let tgds = gdx_datagen::chain_target_tgds(6);
 

@@ -5,7 +5,7 @@
 //! engine caches.
 
 use crate::args::{read_file, Args};
-use gdx_chase::{chase_st_with_nulls, StChaseVariant};
+use gdx_chase::chase_st_with_nulls;
 use gdx_common::{GdxError, Result};
 use gdx_exchange::representative::RepresentativeOutcome;
 use gdx_exchange::{CertainAnswer, ExchangeSession, Existence, Options};
@@ -227,7 +227,6 @@ fn cmd_chase(argv: &[String]) -> Result<()> {
         chase_st_with_nulls(
             session.instance(),
             session.setting(),
-            StChaseVariant::Oblivious,
             NullFactory::starting_at(session.options().null_seed),
         )?
         .pattern

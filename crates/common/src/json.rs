@@ -2,8 +2,8 @@
 //! deterministic renderer.
 //!
 //! The workspace is network-less, so there is no serde; every layer that
-//! speaks JSON — the `bench_gate` perf-trajectory reports, the
-//! `gdx-server` wire protocol, the observability dumps — hand-rolls the
+//! speaks JSON — the `gdx-server` wire protocol, the observability
+//! dumps, the `gdx explain` plans — would otherwise hand-roll the
 //! same ~150 lines. This module is the single shared copy. Three design
 //! points keep it honest for all of them:
 //!

@@ -20,7 +20,7 @@
 //! per-variable exclusivity clauses — the round-trip test below pins this.
 
 use crate::exists::Existence;
-use gdx_chase::{chase_st, StChaseVariant};
+use gdx_chase::chase_st;
 use gdx_common::{FxHashMap, GdxError, Result, Symbol};
 use gdx_graph::Graph;
 use gdx_mapping::{Setting, TargetConstraint};
@@ -28,7 +28,7 @@ use gdx_nre::classify::{single_word, union_of_symbols};
 use gdx_nre::Nre;
 use gdx_pattern::PNodeId;
 use gdx_relational::Instance;
-use gdx_sat::{solve, Cnf, Lit, SatResult, SolverConfig as SatConfig};
+use gdx_sat::{solve, Cnf, Lit, SatResult, SolverConfig};
 
 /// A potential edge of the decoded graph.
 type PotEdge = (PNodeId, Symbol, PNodeId);
@@ -52,7 +52,7 @@ pub fn encode_existence(instance: &Instance, setting: &Setting) -> Result<Encodi
             "SAT encoding handles egd-only target constraints",
         ));
     }
-    let st = chase_st(instance, setting, StChaseVariant::Oblivious)?;
+    let st = chase_st(instance, setting)?;
     let pattern = st.pattern;
     if pattern.null_count() > 0 {
         return Err(GdxError::unsupported(
@@ -208,7 +208,7 @@ pub fn decode(enc: &Encoding, model: &[bool]) -> Graph {
 /// the SAT backend ([`crate::ExchangeSession::solution_exists_sat`]
 /// memoizes the encoding and calls this).
 pub fn solve_encoding(enc: &Encoding) -> Result<Existence> {
-    let (res, _stats) = solve(&enc.cnf, SatConfig::default());
+    let (res, _stats) = solve(&enc.cnf, SolverConfig::default());
     Ok(match res {
         SatResult::Sat(model) => Existence::Exists(decode(enc, &model)),
         SatResult::Unsat => Existence::NoSolution,

@@ -29,7 +29,7 @@
 //! graphs by hand.
 
 use crate::options::Options;
-use gdx_chase::{chase_st, chase_target_tgds, saturate_same_as, StChaseVariant};
+use gdx_chase::{chase_st, chase_target_tgds, saturate_same_as};
 use gdx_common::{GdxError, Result};
 use gdx_graph::{Graph, NodeId};
 use gdx_mapping::{Egd, Setting};
@@ -212,7 +212,7 @@ pub fn construct_solution_no_egds(
             "construct_solution_no_egds called on a setting with egds",
         ));
     }
-    let st = chase_st(instance, setting, StChaseVariant::Oblivious)?;
+    let st = chase_st(instance, setting)?;
     let mut g = gdx_pattern::instantiate_shortest(&st.pattern)?;
     let same_as: Vec<_> = setting.same_as_constraints().cloned().collect();
     if !same_as.is_empty() {

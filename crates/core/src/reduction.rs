@@ -259,7 +259,7 @@ mod tests {
     use crate::exists::Existence;
     use crate::options::Options;
     use crate::session::ExchangeSession;
-    use gdx_sat::{brute_force, solve, SatConfig, SatResult};
+    use gdx_sat::{brute_force, solve, SatResult, SolverConfig};
 
     fn solution_exists(
         instance: &gdx_relational::Instance,
@@ -383,8 +383,8 @@ mod tests {
             let r = Reduction::from_cnf(&formula, ReductionFlavor::Egd).unwrap();
             let back = r.extract_cnf();
             assert_eq!(back.clauses.len(), formula.clauses.len());
-            let (res1, _) = solve(&formula, SatConfig::default());
-            let (res2, _) = solve(&back, SatConfig::default());
+            let (res1, _) = solve(&formula, SolverConfig::default());
+            let (res2, _) = solve(&back, SolverConfig::default());
             assert_eq!(res1.is_sat(), res2.is_sat());
             // Exact clause-set equality up to literal order.
             let norm = |c: &Cnf| {
@@ -409,7 +409,7 @@ mod tests {
     #[test]
     fn sat_result_decodes_to_solution() {
         let r = Reduction::from_cnf(&rho0(), ReductionFlavor::Egd).unwrap();
-        let (res, _) = solve(&rho0(), SatConfig::default());
+        let (res, _) = solve(&rho0(), SolverConfig::default());
         let SatResult::Sat(model) = res else {
             panic!("ρ₀ is satisfiable")
         };

@@ -49,7 +49,7 @@ use crate::representative::{RepresentativeOutcome, UniversalRepresentative};
 use crate::solution::SolutionChecker;
 use gdx_chase::{
     chase_egds_on_pattern_obs, chase_st_with_nulls, ChaseStats, EgdChaseOutcome, SameAsEngine,
-    StChaseVariant, TgdChaseEngine,
+    TgdChaseEngine,
 };
 use gdx_common::{FxHashMap, GdxError, Result, Symbol, Term};
 use gdx_graph::{Graph, GraphId, Node, NullFactory};
@@ -305,7 +305,6 @@ impl ExchangeSession {
             let st = chase_st_with_nulls(
                 &self.instance,
                 &self.setting,
-                StChaseVariant::Oblivious,
                 NullFactory::starting_at(self.options.null_seed),
             )?;
             self.obs.observe(

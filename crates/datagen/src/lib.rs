@@ -223,12 +223,7 @@ mod tests {
         let stays = inst.relation_str("Hotel").unwrap().len();
         assert!(stays <= 100 && stays > 50, "dedup may drop a few: {stays}");
         // Chases cleanly under the paper's setting.
-        let out = gdx_chase::chase_st(
-            &inst,
-            &gdx_mapping::Setting::example_2_2_egd(),
-            gdx_chase::StChaseVariant::Oblivious,
-        )
-        .unwrap();
+        let out = gdx_chase::chase_st(&inst, &gdx_mapping::Setting::example_2_2_egd()).unwrap();
         assert!(out.pattern.node_count() > 0);
     }
 

@@ -2,10 +2,10 @@
 //!
 //! The build environment is offline, so the linter cannot lean on syn or
 //! rustc internals; instead it hand-rolls just enough lexing to be
-//! line-, comment- and string-aware (the same idiom as `bench_gate`'s
-//! recursive-descent JSON reader). The scanner produces a flat token
-//! stream — identifiers, single-char punctuation, literals — plus the
-//! list of `//` line comments, which is where the allow/expect/SAFETY
+//! line-, comment- and string-aware (the same idiom as
+//! `gdx_common::json`'s recursive-descent reader). The scanner produces
+//! a flat token stream — identifiers, single-char punctuation, literals —
+//! plus the list of `//` line comments, which is where the allow/expect/SAFETY
 //! annotations live. Block comments (nested, per Rust), string literals
 //! (plain, raw, byte), char literals and lifetimes are recognized so
 //! that their *contents* never leak into the token stream: a `panic!`

@@ -17,7 +17,7 @@
 
 use crate::cnre::Cnre;
 use crate::plan::{plan_query_traced, AccessChoice, PlannerMode};
-use gdx_common::{FxHashSet, Symbol};
+use gdx_common::{json, FxHashSet, Symbol};
 use gdx_graph::Graph;
 
 /// One placement decision from the planner's greedy loop.
@@ -109,7 +109,7 @@ impl PlanExplain {
                  \"est_pairs\": {}, \"est_fanout\": {}, \"est_rows_in\": {}, \
                  \"demand_cost\": {}, \"choice\": \"{}\"}}",
                 a.atom,
-                escape_json(&a.pattern),
+                json::escape(&a.pattern),
                 a.bound_endpoints,
                 fmt_est(a.est_pairs),
                 fmt_est(a.est_fanout),
@@ -131,21 +131,6 @@ fn fmt_est(v: f64) -> String {
     let s = format!("{v:.2}");
     let trimmed = s.trim_end_matches('0').trim_end_matches('.');
     trimmed.to_string()
-}
-
-/// Minimal JSON string escaping: the atom rendering only ever contains
-/// quotes (around constants) and plain ASCII from the query syntax.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

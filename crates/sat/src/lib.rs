@@ -10,8 +10,7 @@
 //!
 //! * [`Cnf`] / [`Lit`] — formulas in conjunctive normal form;
 //! * [`solve`] / [`SolverConfig`] — recursive DPLL with unit propagation,
-//!   optional pure-literal elimination and a dynamic-frequency branching
-//!   heuristic;
+//!   pure-literal elimination and a dynamic-frequency branching heuristic;
 //! * [`brute_force`] — exhaustive check for cross-validation on small
 //!   formulas.
 
@@ -23,8 +22,3 @@ pub mod solver;
 
 pub use cnf::{Clause, Cnf, Lit, Var};
 pub use solver::{brute_force, solve, SatResult, SolverConfig, SolverStats};
-
-/// Alias de-conflicting this crate's [`SolverConfig`] from the exchange
-/// solver's former `SolverConfig` (now `gdx_exchange::Options`): import
-/// `SatConfig` wherever both crates are in scope.
-pub use solver::SolverConfig as SatConfig;

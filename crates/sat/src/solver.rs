@@ -1,22 +1,16 @@
-//! A DPLL solver with unit propagation, optional pure-literal elimination,
-//! and a dynamic-frequency branching heuristic.
+//! A DPLL solver with unit propagation, pure-literal elimination and a
+//! dynamic-frequency branching heuristic.
 //!
 //! Deliberately simple — formulas arising from the paper's experiments are
 //! phase-transition random 3-CNF with a few dozen variables, where plain
 //! DPLL already exhibits the exponential/polynomial contrast the
-//! reproduction needs. The heuristic toggle is one of the ablation axes of
-//! experiment B5.
+//! reproduction needs.
 
 use crate::cnf::{Cnf, Lit, Var};
 
 /// Solver configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SolverConfig {
-    /// Apply pure-literal elimination at every node.
-    pub pure_literal: bool,
-    /// Branch on the most frequent unassigned literal (otherwise: first
-    /// unassigned variable, positive phase first).
-    pub frequency_heuristic: bool,
     /// Abort after this many decisions (`u64::MAX` = unbounded).
     pub max_decisions: u64,
 }
@@ -24,8 +18,6 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> SolverConfig {
         SolverConfig {
-            pure_literal: true,
-            frequency_heuristic: true,
             max_decisions: u64::MAX,
         }
     }
@@ -104,9 +96,7 @@ impl Dpll<'_> {
             }
         }
 
-        if self.cfg.pure_literal {
-            self.assign_pure_literals(&mut trail);
-        }
+        self.assign_pure_literals(&mut trail);
 
         let Some(lit) = self.pick_branch() else {
             // All clauses satisfied (or all variables assigned and no
@@ -221,47 +211,31 @@ impl Dpll<'_> {
         }
     }
 
+    /// The most frequent unassigned literal among unsatisfied clauses.
     fn pick_branch(&self) -> Option<Lit> {
-        if self.cfg.frequency_heuristic {
-            // Most frequent literal among unsatisfied clauses.
-            let n = self.cnf.num_vars as usize;
-            let mut count = vec![0u32; 2 * n];
-            for clause in &self.cnf.clauses {
-                if clause.iter().any(|&l| self.lit_value(l) == Some(true)) {
-                    continue;
-                }
-                for &l in clause {
-                    if self.lit_value(l).is_none() {
-                        let idx = l.var as usize * 2 + usize::from(l.positive);
-                        count[idx] += 1;
-                    }
+        let n = self.cnf.num_vars as usize;
+        let mut count = vec![0u32; 2 * n];
+        for clause in &self.cnf.clauses {
+            if clause.iter().any(|&l| self.lit_value(l) == Some(true)) {
+                continue;
+            }
+            for &l in clause {
+                if self.lit_value(l).is_none() {
+                    let idx = l.var as usize * 2 + usize::from(l.positive);
+                    count[idx] += 1;
                 }
             }
-            // A variable-free formula has no literal to branch on
-            // (`count` is empty): fall through to the all-satisfied
-            // check in `search`.
-            let (best, &c) = count.iter().enumerate().max_by_key(|&(_, &c)| c)?;
-            if c == 0 {
-                return None;
-            }
-            Some(Lit {
-                var: (best / 2) as Var,
-                positive: best % 2 == 1,
-            })
-        } else {
-            // First unassigned variable occurring in an unsatisfied clause.
-            for clause in &self.cnf.clauses {
-                if clause.iter().any(|&l| self.lit_value(l) == Some(true)) {
-                    continue;
-                }
-                for &l in clause {
-                    if self.lit_value(l).is_none() {
-                        return Some(Lit::pos(l.var));
-                    }
-                }
-            }
-            None
         }
+        // A variable-free formula has no literal to branch on (`count` is
+        // empty): fall through to the all-satisfied check in `search`.
+        let (best, &c) = count.iter().enumerate().max_by_key(|&(_, &c)| c)?;
+        if c == 0 {
+            return None;
+        }
+        Some(Lit {
+            var: (best / 2) as Var,
+            positive: best % 2 == 1,
+        })
     }
 
     fn all_satisfied(&self) -> bool {
@@ -375,21 +349,8 @@ mod tests {
                 let mut f = Cnf::new(3);
                 f.add_clause(pool[i].clone());
                 f.add_clause(pool[j].clone());
-                for cfg in [
-                    SolverConfig::default(),
-                    SolverConfig {
-                        pure_literal: false,
-                        frequency_heuristic: false,
-                        ..SolverConfig::default()
-                    },
-                ] {
-                    let (res, _) = solve(&f, cfg);
-                    assert_eq!(
-                        res.is_sat(),
-                        brute_force(&f).is_some(),
-                        "mismatch on {f} with {cfg:?}"
-                    );
-                }
+                let (res, _) = solve(&f, SolverConfig::default());
+                assert_eq!(res.is_sat(), brute_force(&f).is_some(), "mismatch on {f}");
             }
         }
     }
@@ -402,14 +363,7 @@ mod tests {
             f.add_clause(vec![Lit::pos(2 * v), Lit::pos(2 * v + 1)]);
             f.add_clause(vec![Lit::neg(2 * v), Lit::neg(2 * v + 1)]);
         }
-        let (res, _) = solve(
-            &f,
-            SolverConfig {
-                max_decisions: 0,
-                pure_literal: false,
-                frequency_heuristic: true,
-            },
-        );
+        let (res, _) = solve(&f, SolverConfig { max_decisions: 0 });
         assert_eq!(res, SatResult::Unknown);
     }
 

@@ -1,5 +1,5 @@
 //! Property-based validation of the DPLL solver against the exhaustive
-//! oracle, across solver configurations and DIMACS round-trips.
+//! oracle, and of DIMACS round-trips.
 
 use gdx_sat::{brute_force, solve, Cnf, Lit, SatResult, SolverConfig};
 use proptest::prelude::*;
@@ -29,25 +29,14 @@ fn arb_cnf() -> impl Strategy<Value = Cnf> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// DPLL agrees with brute force in every configuration.
+    /// DPLL agrees with brute force.
     #[test]
     fn dpll_matches_oracle(f in arb_cnf()) {
         let truth = brute_force(&f).is_some();
-        for cfg in [
-            SolverConfig::default(),
-            SolverConfig { pure_literal: false, ..SolverConfig::default() },
-            SolverConfig { frequency_heuristic: false, ..SolverConfig::default() },
-            SolverConfig {
-                pure_literal: false,
-                frequency_heuristic: false,
-                ..SolverConfig::default()
-            },
-        ] {
-            let (res, _) = solve(&f, cfg);
-            prop_assert_eq!(res.is_sat(), truth, "{:?} on {}", cfg, f);
-            if let SatResult::Sat(model) = res {
-                prop_assert!(f.eval(&model), "returned model must satisfy");
-            }
+        let (res, _) = solve(&f, SolverConfig::default());
+        prop_assert_eq!(res.is_sat(), truth, "{}", f);
+        if let SatResult::Sat(model) = res {
+            prop_assert!(f.eval(&model), "returned model must satisfy");
         }
     }
 

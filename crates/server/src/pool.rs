@@ -5,8 +5,8 @@
 //! request is memoized *on* it: the parsed setting and instance, the
 //! chased universal representative, the verified minimal-solution
 //! family, per-graph evaluation caches, compiled probe queries. A pool
-//! hit answers repeat traffic at evaluation cost only — the measured
-//! warm/cold gap is the tentpole number of `bench_server`.
+//! hit answers repeat traffic at evaluation cost only; it never chases
+//! again (pinned by the `warm_hit_does_not_chase_again` e2e test).
 //!
 //! Identity is the full `(setting text, instance text, options
 //! fingerprint)` triple — texts compared by value, never by hash alone,

@@ -424,6 +424,60 @@ fn metrics_dumps_are_byte_stable() {
     server.stop();
 }
 
+/// A warm pool hit answers from the pooled session's memoized chase: the
+/// repeat of a `/v1/certain_answers` request on the same key raises
+/// `server.pool.hits` by one and leaves every chase counter, and the
+/// count of chase phases, where the first request left them.
+#[test]
+fn warm_hit_does_not_chase_again() {
+    let server = boot(|_| {});
+    let addr = server.addr();
+    let ask = || {
+        let got = post(
+            addr,
+            "/v1/certain_answers",
+            vec![("query", json::s("(x, f.f*, y)"))],
+        );
+        assert_eq!(got.status, 200);
+        roundtrip(addr, "GET", "/metrics?format=json", "").json()
+    };
+    let counter = |m: &Json, name: &str| m.get("counters").and_then(|c| c.get_u64(name));
+    // The chase counters and the chase-phase count of one dump, by name.
+    let chase_work = |m: &Json| -> Vec<(String, u64)> {
+        let Some(Json::Object(counters)) = m.get("counters") else {
+            panic!("no counters in {}", m.render());
+        };
+        let mut work: Vec<(String, u64)> = counters
+            .iter()
+            .filter(|(k, _)| k.starts_with("egd.") || k.starts_with("chase."))
+            .map(|(k, v)| (k.clone(), v.as_f64().unwrap() as u64))
+            .collect();
+        let phases = m
+            .get("histograms")
+            .and_then(|h| h.get("session.phase.chase_us"))
+            .and_then(|h| h.get_u64("count"))
+            .unwrap_or_else(|| panic!("no chase phase in {}", m.render()));
+        work.push(("session.phase.chase_us.count".to_owned(), phases));
+        work
+    };
+
+    let cold = ask();
+    assert_eq!(counter(&cold, "server.pool.misses"), Some(1));
+    assert!(
+        counter(&cold, "egd.rounds").is_some_and(|n| n > 0),
+        "the first request chases: {}",
+        cold.render()
+    );
+    let warm = ask();
+    assert_eq!(
+        counter(&warm, "server.pool.hits").unwrap_or(0),
+        counter(&cold, "server.pool.hits").unwrap_or(0) + 1
+    );
+    assert_eq!(counter(&warm, "server.pool.misses"), Some(1));
+    assert_eq!(chase_work(&warm), chase_work(&cold));
+    server.stop();
+}
+
 #[test]
 fn keep_alive_serves_sequential_requests() {
     let server = boot(|_| {});

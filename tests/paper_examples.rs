@@ -3,7 +3,7 @@
 //! the `gdx` meta-crate.
 
 use gdx::chase::egd_pattern::adapted_chase;
-use gdx::chase::{chase_st, EgdChaseConfig, StChaseVariant};
+use gdx::chase::{chase_st, EgdChaseConfig};
 use gdx::exchange::representative::RepresentativeOutcome;
 use gdx::prelude::*;
 
@@ -108,12 +108,7 @@ fn e3_figure_2_relational_fragment() {
 
 #[test]
 fn e4_figure_3_pattern_and_instantiations() {
-    let st = chase_st(
-        &Instance::example_2_2(),
-        &Setting::example_2_2_egd(),
-        StChaseVariant::Oblivious,
-    )
-    .unwrap();
+    let st = chase_st(&Instance::example_2_2(), &Setting::example_2_2_egd()).unwrap();
     let fig3 = GraphPattern::parse(
         "(c1, f.f*, _A); (_A, f.f*, c2); (_A, h, hy);
          (c1, f.f*, _B); (_B, f.f*, c2); (_B, h, hx);
@@ -123,6 +118,7 @@ fn e4_figure_3_pattern_and_instantiations() {
     // Same shape up to null renaming: compare via mutual pattern stats and
     // canonical instantiation isomorphism.
     assert_eq!(st.pattern.node_count(), fig3.node_count());
+    assert_eq!(st.pattern.null_count(), 3);
     assert_eq!(st.pattern.edge_count(), fig3.edge_count());
     let a = gdx::pattern::instantiate_shortest(&st.pattern).unwrap();
     let b = gdx::pattern::instantiate_shortest(&fig3).unwrap();
@@ -170,6 +166,10 @@ fn e9_example_5_2_chase_succeeds_but_no_solution() {
     ));
     let ex = session.solution_exists().unwrap();
     assert!(!ex.exists(), "Example 5.2 has no solution; got {ex:?}");
+    // The Figure 6(b) graph satisfies M_st, but the egd collapses the
+    // constants c1 and c2: it is not a solution.
+    let g6b = Graph::parse("(c1, a, _N); (_N, a, c2);").unwrap();
+    assert!(!session.is_solution(&g6b).unwrap());
 }
 
 #[test]

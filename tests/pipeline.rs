@@ -2,7 +2,7 @@
 //! constraint enforcement → solution checking, on settings exercising
 //! every constraint kind, plus generated-workload smoke tests.
 
-use gdx::chase::{chase_st, is_weakly_acyclic, StChaseVariant};
+use gdx::chase::{chase_st, is_weakly_acyclic};
 use gdx::datagen::{flights_hotels, rng, FlightsHotelsParams};
 use gdx::exchange::exists::construct_solution_no_egds;
 use gdx::prelude::*;
@@ -105,8 +105,8 @@ fn generated_workload_egd_chase_then_verify() {
 
 #[test]
 fn chase_variants_produce_equivalent_representatives() {
-    // Restricted and oblivious chase patterns represent the same graphs
-    // (restricted is a sub-pattern with satisfied triggers folded away).
+    // The oblivious s-t chase fires every trigger; the canonical
+    // instantiation of its pattern satisfies the s-t tgds.
     let inst = flights_hotels(
         FlightsHotelsParams {
             flights: 40,
@@ -117,13 +117,43 @@ fn chase_variants_produce_equivalent_representatives() {
         &mut rng(21),
     );
     let setting = Setting::example_2_2_egd();
-    let obl = chase_st(&inst, &setting, StChaseVariant::Oblivious).unwrap();
-    let res = chase_st(&inst, &setting, StChaseVariant::Restricted).unwrap();
-    assert!(res.fired <= obl.fired);
-    // Canonical instantiations of both satisfy the s-t tgds.
-    for pattern in [&obl.pattern, &res.pattern] {
-        let g = gdx::pattern::instantiate_shortest(pattern).unwrap();
-        assert!(gdx::exchange::solution::st_tgds_satisfied(&inst, &setting, &g).unwrap());
+    let obl = chase_st(&inst, &setting).unwrap();
+    let g = gdx::pattern::instantiate_shortest(&obl.pattern).unwrap();
+    assert!(gdx::exchange::solution::st_tgds_satisfied(&inst, &setting, &g).unwrap());
+}
+
+#[test]
+fn shared_hotels_force_egd_merges_that_shrink_the_pattern() {
+    // Flight/Hotel instances with fewer hotels than flights: the s-t
+    // pattern grows with the input, the hotel egd merges nulls, and the
+    // egd phase never grows the pattern.
+    use gdx::chase::{chase_egds_on_pattern, EgdChaseConfig, EgdChaseOutcome};
+    let setting = Setting::example_2_2_egd();
+    let egds: Vec<_> = setting.egds().cloned().collect();
+    let mut prev_edges = 0;
+    for flights in [50, 100] {
+        let inst = flights_hotels(
+            FlightsHotelsParams {
+                flights,
+                cities: flights / 5,
+                hotels: flights / 5,
+                stays_per_flight: 2,
+            },
+            &mut rng(11),
+        );
+        let st = chase_st(&inst, &setting).unwrap();
+        assert!(st.pattern.edge_count() > prev_edges);
+        prev_edges = st.pattern.edge_count();
+        let out = chase_egds_on_pattern(&st.pattern, &egds, EgdChaseConfig::default()).unwrap();
+        let (merges, final_nodes) = match &out {
+            EgdChaseOutcome::Success { pattern, merges } => (*merges, pattern.node_count()),
+            EgdChaseOutcome::Failed { merges, .. } => (*merges, 0),
+        };
+        assert!(
+            merges > 0,
+            "shared hotels must force merges ({flights} flights)"
+        );
+        assert!(final_nodes <= st.pattern.node_count());
     }
 }
 

@@ -1,16 +1,21 @@
-//! Public-API snapshot: the `pub` surface of the API crates
-//! (`gdx-exchange`, `gdx-query`, and — since the PR-6 versioning
-//! primitives — `gdx-graph`) is extracted from their sources and
-//! diffed against a committed item list, so surface changes are always a
-//! deliberate, reviewed diff.
+//! Committed snapshots, each diffed byte for byte so a change is always
+//! a deliberate, reviewed diff:
 //!
-//! Regenerate after an intentional change with
+//! * the public API: the `pub` surface of the API crates (`gdx-exchange`,
+//!   `gdx-query`, and — since the PR-6 versioning primitives —
+//!   `gdx-graph`), extracted from their sources as an item list;
+//! * the work counters of the Example 2.2 certain-answer session: its
+//!   metrics registry, rendered as JSON.
+//!
+//! Regenerate both after an intentional change with
 //! `UPDATE_API_SNAPSHOT=1 cargo test --test public_api`.
 
+use gdx::prelude::*;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-const SNAPSHOT: &str = "tests/snapshots/public_api.txt";
+const API_SNAPSHOT: &str = "tests/snapshots/public_api.txt";
+const METRICS_SNAPSHOT: &str = "tests/snapshots/metrics_example_2_2.json";
 const CRATES: &[&str] = &["crates/core/src", "crates/query/src", "crates/graph/src"];
 
 /// `pub` item declarations of one file, in source order: one normalized
@@ -100,19 +105,19 @@ fn current_surface() -> String {
     out
 }
 
-#[test]
-fn public_surface_matches_snapshot() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let snapshot_path = root.join(SNAPSHOT);
-    let current = current_surface();
+/// Compares `current` with the committed snapshot at `rel` (relative to
+/// the repository root), or rewrites the snapshot when
+/// `UPDATE_API_SNAPSHOT` is set.
+fn check_snapshot(rel: &str, current: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
     if std::env::var("UPDATE_API_SNAPSHOT").is_ok() {
-        std::fs::create_dir_all(snapshot_path.parent().unwrap()).unwrap();
-        std::fs::write(&snapshot_path, &current).unwrap();
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, current).unwrap();
         return;
     }
-    let committed = std::fs::read_to_string(&snapshot_path).unwrap_or_else(|e| {
+    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
-            "missing API snapshot {SNAPSHOT} ({e}); run \
+            "missing snapshot {rel} ({e}); run \
              `UPDATE_API_SNAPSHOT=1 cargo test --test public_api` and commit it"
         )
     });
@@ -131,9 +136,32 @@ fn public_surface_matches_snapshot() {
             }
         }
         panic!(
-            "public API surface changed; if intentional, regenerate with \
+            "{rel} changed; if intentional, regenerate with \
              `UPDATE_API_SNAPSHOT=1 cargo test --test public_api` and commit.\n\
              Diff vs snapshot:\n{diff}"
         );
     }
+}
+
+#[test]
+fn public_surface_matches_snapshot() {
+    check_snapshot(API_SNAPSHOT, &current_surface());
+}
+
+/// One fully instrumented run of the Example 2.2 session: chase,
+/// candidate verification and the paper query's certain answers, with
+/// metrics recording on. One worker and the no-op clock of
+/// [`Obs::enabled`] keep scheduling-shaped counters and wall-clock
+/// histograms out of the dump, so it is byte-stable on every host; a
+/// drift in a counter is a change in what the engine does, not noise.
+#[test]
+fn example_2_2_metrics_match_snapshot() {
+    let obs = Obs::enabled();
+    let mut session = ExchangeSession::new(Setting::example_2_2_egd(), Instance::example_2_2())
+        .with_options(Options::default().with_threads(Threads::Fixed(1)))
+        .with_obs(obs.clone());
+    let query = PreparedQuery::parse("(x1, f.f*.[h].f-.(f-)*, x2)").unwrap();
+    let (rows, _exact) = session.certain_answers(&query).unwrap();
+    assert_eq!(rows.len(), 4);
+    check_snapshot(METRICS_SNAPSHOT, &obs.render_metrics_json());
 }

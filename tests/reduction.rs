@@ -25,6 +25,66 @@ fn session_for(red: &Reduction, n: u32) -> ExchangeSession {
     ExchangeSession::new(red.setting.clone(), red.instance.clone()).with_options(config_for(n))
 }
 
+/// ρ₀ = (x1 ∨ ¬x2 ∨ x3) ∧ (¬x1 ∨ x3 ∨ ¬x4), the running example of
+/// Theorem 4.1 (satisfiable).
+fn rho0() -> Cnf {
+    let mut f = Cnf::new(4);
+    f.add_clause(vec![Lit::pos(0), Lit::neg(1), Lit::pos(2)]);
+    f.add_clause(vec![Lit::neg(0), Lit::pos(2), Lit::neg(3)]);
+    f
+}
+
+/// (x1)(¬x1 ∨ x2)(¬x2): unsatisfiable.
+fn unsat3() -> Cnf {
+    let mut f = Cnf::new(3);
+    f.add_clause(vec![Lit::pos(0)]);
+    f.add_clause(vec![Lit::neg(0), Lit::pos(1)]);
+    f.add_clause(vec![Lit::neg(1)]);
+    f
+}
+
+#[test]
+fn e5_e7_paper_formula_and_unsatisfiable_formula() {
+    let egd = |f: &Cnf| Reduction::from_cnf(f, ReductionFlavor::Egd).unwrap();
+    let sameas = |f: &Cnf| Reduction::from_cnf(f, ReductionFlavor::SameAs).unwrap();
+
+    // E5 (Theorem 4.1, Figure 4).
+    let red = egd(&rho0());
+    let fig4 = red.solution_from_valuation(&[true, true, false, false]);
+    assert!(
+        is_solution(&red.instance, &red.setting, &fig4).unwrap(),
+        "the Figure 4 graph (t1, t2, f3, f4 loops) is a solution for Ω_ρ0"
+    );
+    let got = session_for(&red, 4).solution_exists().unwrap();
+    let val = red.valuation_from_solution(got.witness().unwrap()).unwrap();
+    assert!(rho0().eval(&val), "the witness decodes to a model of ρ0");
+    let got = session_for(&egd(&unsat3()), 3).solution_exists().unwrap();
+    assert!(matches!(got, Existence::NoSolution));
+
+    // E6 (Corollary 4.2): (c1, c2) ∈ cert(a·a) iff unsatisfiable.
+    let q = Reduction::certain_query_egd();
+    let ans = session_for(&red, 4).certain_pair(&q, "c1", "c2").unwrap();
+    assert!(matches!(ans, CertainAnswer::NotCertain(_)));
+    let ans = session_for(&egd(&unsat3()), 3)
+        .certain_pair(&q, "c1", "c2")
+        .unwrap();
+    assert!(ans.is_certain());
+
+    // E7 (Proposition 4.3): solutions always exist, certainty of
+    // sameAs(c1, c2) is hard.
+    let red_u = sameas(&unsat3());
+    let g =
+        construct_solution_no_egds(&red_u.instance, &red_u.setting, &Options::default()).unwrap();
+    assert!(is_solution(&red_u.instance, &red_u.setting, &g).unwrap());
+    let q = Reduction::certain_query_sameas();
+    let ans = session_for(&red_u, 3).certain_pair(&q, "c1", "c2").unwrap();
+    assert!(ans.is_certain());
+    let ans = session_for(&sameas(&rho0()), 4)
+        .certain_pair(&q, "c1", "c2")
+        .unwrap();
+    assert!(matches!(ans, CertainAnswer::NotCertain(_)));
+}
+
 #[test]
 fn e5_randomized_existence_agreement() {
     // 3 sizes × 3 ratios × 3 seeds, all three backends vs brute force.
